@@ -47,7 +47,6 @@ use std::time::Instant;
 use wormdsm_bench::{arg, assert_coherent, flag, seeded_workload, timed, warn_on_trace_drops};
 use wormdsm_core::{DsmSystem, RunMeta, SchemeKind, SystemConfig, TraceLevel};
 use wormdsm_sim::trace::TraceKind;
-use wormdsm_workloads::WindowStats;
 
 struct Arm {
     cycles: u64,
@@ -58,7 +57,6 @@ struct Arm {
     skipped: u64,
     worm_slots_reused: u64,
     scratch_grows: u64,
-    hazard_fallbacks: u64,
     /// Speculative cycles validated and committed by the optimistic tick.
     spec_commits: u64,
     /// Cycles whose boundary-credit digest mismatched and were replayed.
@@ -68,10 +66,6 @@ struct Arm {
     /// Worker threads the pool actually got (0 when serial); may be less
     /// than `tiles - 1` on a small host or under `WORMDSM_POOL_WORKERS`.
     effective_workers: usize,
-    /// Flights completed on the express reservation fast path.
-    express_hits: u64,
-    /// Reservations aborted (materialized back into stepped flight).
-    express_aborts: u64,
     /// Full metrics registry (protocol + `net_`-prefixed mesh counters)
     /// as a JSON object, embedded verbatim in the BENCH rows.
     metrics_json: String,
@@ -171,52 +165,12 @@ fn finish_arm(sys: &DsmSystem, cycles: u64, wall_s: f64) -> Arm {
         skipped: sys.skipped_cycles(),
         worm_slots_reused: sys.net_stats().worm_slots_reused,
         scratch_grows: sys.net_stats().scratch_grows,
-        hazard_fallbacks: sys.net_stats().hazard_fallbacks,
         spec_commits: sys.net_stats().spec_commits,
         spec_rollbacks: sys.net_stats().spec_rollbacks,
         spec_replayed_cycles: sys.net_stats().spec_replayed_cycles,
         effective_workers: sys.effective_workers(),
-        express_hits: sys.net_stats().express_hits,
-        express_aborts: sys.net_stats().express_aborts,
         metrics_json: sys.export_metrics().to_json(),
     }
-}
-
-/// Run one arm with the express fast path enabled (dead-cycle
-/// fast-forwarding on, serial tick).
-fn run_arm_express(app: &str, scheme: SchemeKind, k: usize, scale: u64) -> Arm {
-    let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_fast_forward(true);
-    sys.set_express(true);
-    let w = seeded_workload(app, k * k, scale);
-    let t0 = Instant::now();
-    let r = w.run(&mut sys, 500_000_000).expect("application completes");
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert_coherent(&sys, &format!("{app} k={k} express"));
-    finish_arm(&sys, r.cycles, wall_s)
-}
-
-/// Run one arm under the W-cycle windowed speculative driver
-/// ([`Workload::run_windowed`]): Detect-mode tiles between snapshots,
-/// whole-window rollback + serial replay on a poisoned window.
-fn run_arm_windowed(
-    app: &str,
-    scheme: SchemeKind,
-    k: usize,
-    scale: u64,
-    tiles: usize,
-    window: u64,
-) -> (Arm, WindowStats) {
-    let mut cfg = SystemConfig::for_scheme(k, scheme);
-    cfg.mesh.tiles = tiles;
-    let mut sys = DsmSystem::new(cfg, scheme.build());
-    sys.set_fast_forward(true);
-    let w = seeded_workload(app, k * k, scale);
-    let t0 = Instant::now();
-    let (r, ws) = w.run_windowed(&mut sys, 500_000_000, window).expect("application completes");
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert_coherent(&sys, &format!("{app} k={k} T={tiles} W={window}"));
-    (finish_arm(&sys, r.cycles, wall_s), ws)
 }
 
 /// Sweep the space-partitioned tick engine over tile counts at busy-cycle
@@ -278,8 +232,8 @@ fn partick_sweep(scheme: SchemeKind, out: &str) {
                 }
                 // The whole point of the optimistic engine: mis-speculated
                 // cycles replayed serially must be a tiny fraction of the
-                // hazard-driven serial surrenders the pessimistic scan
-                // used to take on this workload (149,343 on apsp k=8).
+                // 149,343 serial surrenders a pre-tick hazard scan took on
+                // this workload (apsp k=8).
                 if app == "apsp" && k == 8 && tiles > 1 {
                     assert!(
                         best.spec_replayed_cycles <= 15_000,
@@ -318,7 +272,7 @@ fn partick_sweep(scheme: SchemeKind, out: &str) {
                         "\"wall_s\": {:.6}, \"cycles_per_s\": {:.0}, ",
                         "\"speedup_vs_serial\": {:.3}{}, ",
                         "\"spec_commits\": {}, \"spec_rollbacks\": {}, ",
-                        "\"spec_replayed_cycles\": {}, \"hazard_fallbacks\": {}, ",
+                        "\"spec_replayed_cycles\": {}, ",
                         "\"bit_identical_to_serial\": true}}"
                     ),
                     k,
@@ -333,8 +287,7 @@ fn partick_sweep(scheme: SchemeKind, out: &str) {
                     pr2,
                     best.spec_commits,
                     best.spec_rollbacks,
-                    best.spec_replayed_cycles,
-                    best.hazard_fallbacks
+                    best.spec_replayed_cycles
                 ));
                 if serial.is_none() {
                     serial = Some(best);
@@ -343,64 +296,6 @@ fn partick_sweep(scheme: SchemeKind, out: &str) {
         }
     }
 
-    // W-window sweep: instead of validating every cycle, speculate W
-    // cycles between snapshots (Detect mode) and roll whole windows back
-    // on a violation. Every (T, W) combination must still reproduce the
-    // serial run bit for bit.
-    println!("\n== speculative W-window sweep, T = 4 (k = 8) ==");
-    println!(
-        "{:>6} {:>4} {:>12} {:>12.3} {:>9} {:>9} {:>9} {:>9}",
-        "app", "W", "cycles", "wall s", "windows", "commit", "rollback", "replayed"
-    );
-    let mut window_rows = Vec::new();
-    for app in ["bh", "apsp"] {
-        let serial = run_arm_tiled(app, scheme, 8, 1, true, 1);
-        for window in [1u64, 4, 16, 64] {
-            let (arm, ws) = run_arm_windowed(app, scheme, 8, 1, 4, window);
-            assert_eq!(arm.cycles, serial.cycles, "{app} W={window}: cycles diverged");
-            assert_eq!(arm.flit_hops, serial.flit_hops, "{app} W={window}: flit hops diverged");
-            assert_eq!(
-                arm.inval_lat_sum, serial.inval_lat_sum,
-                "{app} W={window}: inval latency diverged"
-            );
-            assert_eq!(
-                arm.inval_lat_count, serial.inval_lat_count,
-                "{app} W={window}: txn count diverged"
-            );
-            assert_eq!(
-                ws.windows,
-                ws.committed + ws.rolled_back,
-                "{app} W={window}: window accounting"
-            );
-            println!(
-                "{:>6} {:>4} {:>12} {:>12.3} {:>9} {:>9} {:>9} {:>9}",
-                app,
-                window,
-                arm.cycles,
-                arm.wall_s,
-                ws.windows,
-                ws.committed,
-                ws.rolled_back,
-                ws.replayed_cycles
-            );
-            window_rows.push(format!(
-                concat!(
-                    "    {{\"k\": 8, \"app\": \"{}\", \"tiles\": 4, \"window\": {}, ",
-                    "\"cycles\": {}, \"wall_s\": {:.6}, \"windows\": {}, ",
-                    "\"committed\": {}, \"rolled_back\": {}, ",
-                    "\"replayed_cycles\": {}, \"bit_identical_to_serial\": true}}"
-                ),
-                app,
-                window,
-                arm.cycles,
-                arm.wall_s,
-                ws.windows,
-                ws.committed,
-                ws.rolled_back,
-                ws.replayed_cycles
-            ));
-        }
-    }
     let pr2_ref = PR2_REF_CPS
         .iter()
         .map(|(app, cps)| format!("\"{app}_k8_cps\": {cps:.0}"))
@@ -411,12 +306,10 @@ fn partick_sweep(scheme: SchemeKind, out: &str) {
             "{{\n  \"scheme\": \"{}\",\n  \"compute_scale\": 1,\n",
             "  \"host_cores\": {},\n",
             "  \"run_meta\": {},\n",
-            "  \"spec_mode\": \"optimistic\",\n",
             "  \"pr2_ref\": {{{}, ",
             "\"note\": \"PR 2 binary, same reference container (1 core), ",
             "fast arm, compute scale 1\"}},\n",
-            "  \"runs\": [\n{}\n  ],\n",
-            "  \"window_runs\": [\n{}\n  ]\n}}\n"
+            "  \"runs\": [\n{}\n  ]\n}}\n"
         ),
         scheme.name(),
         host_cores,
@@ -426,8 +319,7 @@ fn partick_sweep(scheme: SchemeKind, out: &str) {
         .with_wall_s(t0.elapsed().as_secs_f64())
         .to_json(),
         pr2_ref,
-        rows.join(",\n"),
-        window_rows.join(",\n")
+        rows.join(",\n")
     );
     std::fs::write(out, json).expect("write partitioned-tick results");
     println!("\nwrote {out}");
@@ -728,40 +620,6 @@ fn main() {
                 tiled.inval_lat_sum, g.inval_lat_sum,
                 "{app} T=4: inval latency diverged from golden"
             );
-            // And the express fast path: contention-free flights fired by
-            // schedule instead of per-cycle stepping must still land on
-            // the golden numbers bit for bit — and must actually engage.
-            let xp = run_arm_express(app, scheme, k, scale);
-            assert_eq!(xp.cycles, g.cycles, "{app} express: cycles diverged from golden");
-            assert_eq!(xp.flit_hops, g.flit_hops, "{app} express: flit hops diverged from golden");
-            assert_eq!(
-                xp.inval_lat_count, g.inval_lat_count,
-                "{app} express: txn count diverged from golden"
-            );
-            assert_eq!(
-                xp.inval_lat_sum, g.inval_lat_sum,
-                "{app} express: inval latency diverged from golden"
-            );
-            assert!(xp.express_hits > 0, "{app}: the busy arm must express some flights");
-            println!(
-                "       express hits {:>8}   aborts {:>6}   (golden bit-identical)",
-                xp.express_hits, xp.express_aborts
-            );
-            // And so must the windowed speculative driver: 4 tiles in
-            // Detect mode, snapshot every 4 cycles, whole-window rollback
-            // and serial replay on a violated speculation.
-            let (win, ws) = run_arm_windowed(app, scheme, k, scale, 4, 4);
-            assert_eq!(win.cycles, g.cycles, "{app} T=4 W=4: cycles diverged from golden");
-            assert_eq!(win.flit_hops, g.flit_hops, "{app} T=4 W=4: flit hops diverged from golden");
-            assert_eq!(
-                win.inval_lat_count, g.inval_lat_count,
-                "{app} T=4 W=4: txn count diverged from golden"
-            );
-            assert_eq!(
-                win.inval_lat_sum, g.inval_lat_sum,
-                "{app} T=4 W=4: inval latency diverged from golden"
-            );
-            assert_eq!(ws.windows, ws.committed + ws.rolled_back, "{app}: window accounting");
             let cps = fast.cycles as f64 / fast.wall_s;
             busy_rows.push(format!(
                 concat!(

@@ -39,6 +39,6 @@ pub use metrics::{
 pub use plan::{AckAction, InvalPlan, PlannedWorm};
 pub use schemes::{InvalidationScheme, SchemeKind};
 pub use system::{DsmSystem, MemOp, SimError};
-pub use wormdsm_mesh::{ContentionProbe, ContentionWindow, SpecMode};
+pub use wormdsm_mesh::{ContentionProbe, ContentionWindow};
 pub use wormdsm_sim::profile::{Phase, TxnProfiler, TxnRecord};
 pub use wormdsm_sim::trace::{FlightRecorder, InvariantViolation, TraceLevel};

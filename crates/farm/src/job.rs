@@ -15,6 +15,14 @@ const SYNTH_BASE_BLOCK: u64 = 0x10_0000;
 /// Default episode count for synthetic jobs.
 const SYNTH_EPISODES: usize = 4;
 
+/// Largest mesh a job may ask for: `NodeId` is a `u16`, the same limit
+/// `SystemConfig::validate` enforces.
+const MAX_NODES: usize = 1 << 16;
+
+/// Largest synthetic op stream a job may ask for, in ops across all
+/// processors — far past any useful job, well short of exhausting memory.
+const MAX_SYNTH_OPS: usize = 1 << 26;
+
 /// Complete configuration of one farm job.
 ///
 /// The canonical string form ([`JobSpec::canonical`]) defines identity:
@@ -101,6 +109,9 @@ impl JobSpec {
         if self.k < 2 {
             return Err(format!("k={} too small (need a 2x2 mesh or larger)", self.k));
         }
+        let Some(nodes) = self.k.checked_mul(self.k).filter(|&n| n <= MAX_NODES) else {
+            return Err(format!("k={} too large (at most {MAX_NODES} nodes)", self.k));
+        };
         if self.tiles < 1 {
             return Err("tiles must be >= 1".to_string());
         }
@@ -118,18 +129,26 @@ impl JobSpec {
                 // sharers + writer on every episode, no seed-dependent
                 // panics deep in the generator.
                 let pool = match kind {
-                    PatternKind::UniformRandom => self.k * self.k,
+                    PatternKind::UniformRandom => nodes,
                     PatternKind::SameColumn | PatternKind::SameRow => self.k,
-                    PatternKind::Cluster { radius } => {
-                        (self.k * self.k).min((radius + 1) * (radius + 1))
-                    }
+                    PatternKind::Cluster { radius } => nodes.min((radius + 1) * (radius + 1)),
                 };
-                if self.d + 2 > pool {
+                if self.d.saturating_add(2) > pool {
                     return Err(format!(
                         "d={} does not fit pattern {:?} on a {k}x{k} mesh (need d+2 <= {pool})",
                         self.d,
                         self.pattern,
                         k = self.k
+                    ));
+                }
+                // Each episode pushes `d` reads, one barrier per
+                // processor and one write (see `synth_workload`).
+                let ops = self.episodes.checked_mul(nodes + self.d + 1);
+                if ops.is_none_or(|n| n > MAX_SYNTH_OPS) {
+                    return Err(format!(
+                        "{} episodes of {} ops exceed the {MAX_SYNTH_OPS}-op synthetic job limit",
+                        self.episodes,
+                        nodes + self.d + 1
                     ));
                 }
                 Ok(())

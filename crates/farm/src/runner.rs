@@ -390,7 +390,10 @@ fn run_job(
     let sys_cfg = SystemConfig::for_scheme(spec.k, spec.scheme);
     let (mut sys, mut st) = match checkpoint {
         Some(bytes) => workload.resume(sys_cfg, spec.scheme.build(), &bytes)?,
-        None => (DsmSystem::new(sys_cfg, spec.scheme.build()), workload.start()),
+        None => (
+            DsmSystem::try_new(sys_cfg, spec.scheme.build()).map_err(|e| e.to_string())?,
+            workload.start(),
+        ),
     };
     sys.set_tiles(spec.tiles);
     if spec.profile {
@@ -438,7 +441,7 @@ fn run_job(
     let wall_s = t0.elapsed().as_secs_f64();
     let Some(result) = res else {
         // Paused by shutdown: checkpoint at the boundary cycle.
-        return Ok(RunEnd::Paused(Workload::checkpoint(&mut sys, &st)));
+        return Ok(RunEnd::Paused(Workload::checkpoint(&sys, &st)));
     };
     if farm.cfg.probe_window > 0 {
         sys.finish_contention_probe();

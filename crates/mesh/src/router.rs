@@ -266,15 +266,6 @@ impl RouterSlab {
         *self.rr.at(n, port) as usize
     }
 
-    /// Set the round-robin pointer of output `port` at node `n` (express
-    /// fast path applying a profiled flight's grant residue; a solo
-    /// flight's grant winners — and therefore the written values — are
-    /// independent of the prior pointer state).
-    #[inline]
-    pub fn set_rr(&mut self, n: usize, port: usize, v: usize) {
-        *self.rr.at_mut(n, port) = v as u32;
-    }
-
     /// Find a free, credited output VC on `port` within the VC index range
     /// `lo..hi` (the worm's virtual-network class).
     pub fn best_free_out_vc(

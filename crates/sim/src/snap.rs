@@ -1,6 +1,6 @@
 //! Versioned binary snapshots: save/restore of simulator state.
 //!
-//! The speculative tick engine and the resumable bench driver both need to
+//! The resumable bench driver and the farm's parked jobs both need to
 //! capture simulator state and put it back *bit-exactly*: a restored run
 //! must produce the same observable results as one that never stopped.
 //! This module provides the shared plumbing — a little-endian byte-stream
@@ -32,8 +32,9 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. Version 2 appended the
-/// network's optional link-load meter to `Network::save_state`.
-pub const SNAP_VERSION: u32 = 2;
+/// network's optional link-load meter to `Network::save_state`; version 3
+/// dropped the removed engine modes' counters from the network statistics.
+pub const SNAP_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

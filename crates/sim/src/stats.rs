@@ -590,30 +590,6 @@ impl Registry {
         }
     }
 
-    /// Names whose values differ between `self` and `other` — the union of
-    /// both registries' names, where a name present on only one side counts
-    /// as different. Names starting with any prefix in `ignore` are
-    /// skipped. Used by the express bit-identity asserts (tests and
-    /// `exp_express`), which compare full metric exports modulo a small
-    /// documented exclusion list.
-    pub fn diff_names(&self, other: &Registry, ignore: &[&str]) -> Vec<String> {
-        let mut names: Vec<&str> = self.iter().map(|(n, _)| n).collect();
-        for (n, _) in other.iter() {
-            if self.get(n).is_none() {
-                names.push(n);
-            }
-        }
-        names
-            .into_iter()
-            .filter(|n| !ignore.iter().any(|p| n.starts_with(p)))
-            .filter(|n| match (self.get(n), other.get(n)) {
-                (Some(a), Some(b)) => a != b,
-                _ => true,
-            })
-            .map(str::to_string)
-            .collect()
-    }
-
     /// Render the registry as a single JSON object keyed by metric name.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
@@ -789,25 +765,6 @@ mod tests {
         top.absorb("net.", &r);
         assert!(top.get("net.cycles").is_some());
         assert_eq!(top.lines()[0], "net.cycles = 200");
-    }
-
-    #[test]
-    fn diff_names_finds_divergence_and_honors_ignores() {
-        let mut a = Registry::new();
-        a.counter("cycles", 100);
-        a.counter("scratch_grows", 3);
-        a.gauge("util", 0.5);
-        let mut b = a.clone();
-        assert!(a.diff_names(&b, &[]).is_empty());
-        b.counter("cycles", 101);
-        b.counter("scratch_grows", 9);
-        b.counter("only_b", 1);
-        let d = a.diff_names(&b, &[]);
-        assert_eq!(d, vec!["cycles", "scratch_grows", "only_b"]);
-        let d = a.diff_names(&b, &["scratch_", "only_"]);
-        assert_eq!(d, vec!["cycles"]);
-        assert_eq!(a.get("cycles").unwrap().as_counter(), Some(100));
-        assert_eq!(a.get("util").unwrap().as_counter(), None);
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! cursors + issued count). That split is what makes runs *resumable* and
 //! *replayable*: an `IssueState` plus a [`wormdsm_core::DsmSystem`]
 //! snapshot is a complete checkpoint ([`Workload::checkpoint`] /
-//! [`Workload::resume`]), and the windowed speculative driver
-//! ([`Workload::run_windowed`]) rolls a poisoned window back simply by
-//! restoring both and re-running the same cycles serially.
+//! [`Workload::resume`]).
 
 use std::collections::VecDeque;
-use wormdsm_core::{DsmSystem, InvalidationScheme, MemOp, SpecMode, SystemConfig, TxnProfiler};
+use wormdsm_core::{DsmSystem, InvalidationScheme, MemOp, SystemConfig, TxnProfiler};
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::Cycle;
@@ -57,20 +55,6 @@ impl IssueState {
         }
         Ok(Self { cursors, issued: r.get_u64()? })
     }
-}
-
-/// Outcome counters of a windowed speculative run
-/// ([`Workload::run_windowed`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Windows executed (committed + rolled back).
-    pub windows: u64,
-    /// Windows whose Detect-mode pass stayed clean and were committed.
-    pub committed: u64,
-    /// Windows rolled back to their entry snapshot and replayed serially.
-    pub rolled_back: u64,
-    /// Cycles re-executed on the serial schedule by those rollbacks.
-    pub replayed_cycles: u64,
 }
 
 impl Workload {
@@ -185,81 +169,6 @@ impl Workload {
         }
     }
 
-    /// Run to completion with W-cycle speculative windows.
-    ///
-    /// The per-cycle engine is put in [`SpecMode::Detect`]: parallel
-    /// passes commit unconditionally and latch a poison flag when a
-    /// speculation assumption was violated. Every `window` cycles the
-    /// driver takes a full-system snapshot; a window that ends poisoned
-    /// is rolled back to its entry snapshot (system **and** issue
-    /// cursors) and re-run on the serial one-tile schedule, which is
-    /// exact by construction. Clean windows commit with zero rollback
-    /// work — the multi-cycle analogue of the per-cycle optimistic tick,
-    /// amortizing validation over W cycles.
-    ///
-    /// Final state is bit-identical to a serial run. The entry
-    /// speculation mode and tile count are restored before returning.
-    /// Rollbacks rebuild the network from the snapshot, so flight-
-    /// recorder history does not survive them (results are unaffected).
-    pub fn run_windowed(
-        &self,
-        sys: &mut DsmSystem,
-        max_cycles: Cycle,
-        window: Cycle,
-    ) -> Result<(RunResult, WindowStats), String> {
-        assert!(window >= 1, "window must be at least one cycle");
-        let start = sys.now();
-        let deadline = start + max_cycles;
-        let tiles = sys.tiles();
-        let entry_mode = sys.spec_mode();
-        sys.set_spec_mode(SpecMode::Detect);
-        let mut st = self.start();
-        let mut ws = WindowStats::default();
-        let result = loop {
-            let w_start = sys.now();
-            let stop = (w_start + window - 1).min(deadline);
-            let snap = sys.save_snapshot();
-            let st_ck = st.clone();
-            sys.clear_spec_poisoned();
-            let done = match self.advance(sys, &mut st, stop) {
-                Ok(d) => d,
-                Err(e) => break Err(e),
-            };
-            ws.windows += 1;
-            let done = if sys.spec_poisoned() {
-                ws.rolled_back += 1;
-                if let Err(e) = sys.restore_snapshot_in_place(&snap) {
-                    break Err(format!("window rollback failed: {e}"));
-                }
-                st = st_ck;
-                sys.set_tiles(1);
-                sys.clear_spec_poisoned();
-                let replayed = match self.advance(sys, &mut st, stop) {
-                    Ok(d) => d,
-                    Err(e) => break Err(e),
-                };
-                ws.replayed_cycles += sys.now() - w_start;
-                sys.set_tiles(tiles);
-                replayed
-            } else {
-                ws.committed += 1;
-                done
-            };
-            if done {
-                break Ok(RunResult { cycles: sys.now() - start, issued: st.issued });
-            }
-            if sys.now() > deadline {
-                let left = self.total_ops() as u64 - st.issued;
-                break Err(format!(
-                    "workload incomplete after {max_cycles} cycles: {} issued, {left} queued",
-                    st.issued
-                ));
-            }
-        };
-        sys.set_spec_mode(entry_mode);
-        result.map(|r| (r, ws))
-    }
-
     /// Run toward completion in `every`-cycle observation windows, giving
     /// `observer` control at each window boundary — the driver hook for
     /// live telemetry (progress reporting, event draining, shutdown
@@ -333,7 +242,7 @@ impl Workload {
 
     /// Serialize a resumable checkpoint: the full system snapshot plus
     /// the run's issue state, one sealed stream.
-    pub fn checkpoint(sys: &mut DsmSystem, st: &IssueState) -> Vec<u8> {
+    pub fn checkpoint(sys: &DsmSystem, st: &IssueState) -> Vec<u8> {
         let mut w = SnapWriter::new();
         let sys_bytes = sys.save_snapshot();
         w.put_usize(sys_bytes.len());
@@ -511,7 +420,7 @@ mod tests {
         assert!(paused.is_none(), "observer paused the run");
         assert_eq!(boundaries, 3);
         assert!(st.issued() > 0 && st.issued() < r_whole.issued, "paused mid-run");
-        let bytes = Workload::checkpoint(&mut live, &st);
+        let bytes = Workload::checkpoint(&live, &st);
 
         let r_live = w.run_from(&mut live, &mut st, 500_000).unwrap();
         assert_eq!(r_live.issued, r_whole.issued);
@@ -561,26 +470,6 @@ mod tests {
         assert_eq!(rr.issued, r_whole.issued);
         assert_eq!(resumed.now(), whole.now());
         assert_eq!(resumed.export_metrics().to_json(), whole.export_metrics().to_json());
-    }
-
-    /// Windowed speculative execution on a single-tile system never rolls
-    /// back (the serial schedule speculates nothing) and matches the
-    /// plain run exactly.
-    #[test]
-    fn windowed_run_matches_plain_run() {
-        let w = sharing_workload();
-        let mut plain = sys();
-        let r_plain = w.run(&mut plain, 500_000).unwrap();
-
-        let mut windowed = sys();
-        let (r, ws) = w.run_windowed(&mut windowed, 500_000, 64).unwrap();
-        assert_eq!(r.cycles, r_plain.cycles);
-        assert_eq!(r.issued, r_plain.issued);
-        assert_eq!(ws.rolled_back, 0, "serial tick engine cannot mis-speculate");
-        assert_eq!(ws.windows, ws.committed);
-        assert!(ws.windows >= 2, "run spans multiple windows");
-        assert_eq!(windowed.export_metrics().to_json(), plain.export_metrics().to_json());
-        assert_eq!(windowed.spec_mode(), SpecMode::Optimistic, "entry mode restored");
     }
 
     #[test]
