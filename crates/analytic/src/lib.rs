@@ -10,6 +10,7 @@
 //! numbers are directly comparable — simulation should match closely at
 //! low load and exceed the estimate under contention.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod model;

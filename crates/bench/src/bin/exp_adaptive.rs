@@ -6,11 +6,10 @@
 //! 1. **Pattern table** — extends H5's latency attribution to all nine
 //!    schemes on seeded single-transaction patterns (uniform, same-row,
 //!    cluster, same-column; the `exp_inval_patterns` generators). Every
-//!    row runs twice — profiled at one tile vs unprofiled at four tiles —
-//!    and the two arms are asserted bit-identical per trial, so the table
-//!    doubles as a regression net for the adaptive feedback loop's
-//!    tile-invariance (the plan depends on the link-load meter, and the
-//!    meter must commit identically under the partitioned tick engine).
+//!    row runs twice — profiled vs unprofiled — and the two arms are
+//!    asserted bit-identical per trial, so the table doubles as a
+//!    regression net for profiling staying a pure observer of the
+//!    adaptive feedback loop (the plan depends on the link-load meter).
 //!
 //! 2. **Hot column** — background readers saturate the vertical links of
 //!    one column while seeded invalidations whose sharers straddle that
@@ -50,15 +49,8 @@ struct RowOut {
 }
 
 /// Run `patterns` as sequential seeded transactions on one system.
-fn run_row(
-    scheme: SchemeKind,
-    k: usize,
-    patterns: &[Pattern],
-    tiles: usize,
-    profile: bool,
-) -> RowOut {
+fn run_row(scheme: SchemeKind, k: usize, patterns: &[Pattern], profile: bool) -> RowOut {
     let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_tiles(tiles);
     if profile {
         sys.enable_profiling();
     }
@@ -69,13 +61,12 @@ fn run_row(
     RowOut { results, cycles: sys.now(), flit_hops: sys.net_stats().flit_hops, profiler }
 }
 
-/// The profiled single-tile arm and the unprofiled four-tile arm must
-/// agree on every measured number of every trial: profiling is a pure
-/// observer, and the adaptive feedback loop reads only committed meter
-/// windows, which the partitioned tick reproduces bit for bit.
+/// The profiled and unprofiled arms must agree on every measured number
+/// of every trial: profiling is a pure observer, and the adaptive
+/// feedback loop reads only committed meter windows.
 fn assert_row_identical(ctx: &str, a: &RowOut, b: &RowOut) {
-    assert_eq!(a.cycles, b.cycles, "{ctx}: cycles diverged across tiles");
-    assert_eq!(a.flit_hops, b.flit_hops, "{ctx}: flit hops diverged across tiles");
+    assert_eq!(a.cycles, b.cycles, "{ctx}: cycles diverged under profiling");
+    assert_eq!(a.flit_hops, b.flit_hops, "{ctx}: flit hops diverged under profiling");
     assert_eq!(a.results.len(), b.results.len());
     for (i, (x, y)) in a.results.iter().zip(b.results.iter()).enumerate() {
         assert_eq!(x.inval_latency, y.inval_latency, "{ctx} trial {i}: inval latency diverged");
@@ -110,14 +101,12 @@ fn run_hot(
     k: usize,
     d: usize,
     probes: usize,
-    tiles: usize,
     profile: bool,
 ) -> (Vec<f64>, f64, Option<TxnProfiler>) {
     let nodes = k * k;
     let hc = k / 2;
     let mesh = Mesh2D::square(k);
     let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_tiles(tiles);
     if profile {
         sys.enable_profiling();
     }
@@ -227,9 +216,9 @@ fn main() {
         );
         for scheme in SchemeKind::ALL {
             let ctx = format!("{pname} {}", scheme.name());
-            let profiled = run_row(scheme, k, patterns, 1, true);
-            let tiled = run_row(scheme, k, patterns, 4, false);
-            assert_row_identical(&ctx, &profiled, &tiled);
+            let profiled = run_row(scheme, k, patterns, true);
+            let plain = run_row(scheme, k, patterns, false);
+            assert_row_identical(&ctx, &profiled, &plain);
             let p = profiled.profiler.as_ref().expect("profiled arm");
             check_profiler(&ctx, p, trials as u64);
 
@@ -271,10 +260,10 @@ fn main() {
     );
     for scheme in SchemeKind::ALL {
         let ctx = format!("hot-column {}", scheme.name());
-        let (lats, util, profiler) = run_hot(scheme, k, d, probes, 1, true);
-        let (lats4, util4, _) = run_hot(scheme, k, d, probes, 4, false);
-        assert_eq!(lats, lats4, "{ctx}: probe latencies diverged across tiles");
-        assert_eq!(util, util4, "{ctx}: link utilization diverged across tiles");
+        let (lats, util, profiler) = run_hot(scheme, k, d, probes, true);
+        let (plain_lats, plain_util, _) = run_hot(scheme, k, d, probes, false);
+        assert_eq!(lats, plain_lats, "{ctx}: probe latencies diverged under profiling");
+        assert_eq!(util, plain_util, "{ctx}: link utilization diverged under profiling");
         let p = profiler.expect("profiled arm");
         check_profiler(&ctx, &p, probes as u64);
 

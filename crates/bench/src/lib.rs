@@ -5,6 +5,7 @@
 //! experiment index). Simulation instances are single-threaded and
 //! deterministic; sweeps fan out across OS threads.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use wormdsm_coherence::Addr;

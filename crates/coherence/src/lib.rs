@@ -10,6 +10,7 @@
 //! schemes, sequential-consistency stalling) lives in `wormdsm-core`, which
 //! drives these structures against the `wormdsm-mesh` network.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;

@@ -24,6 +24,7 @@
 //! assert_eq!(sys.metrics().write_misses, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

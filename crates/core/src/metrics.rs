@@ -163,15 +163,15 @@ pub struct RunMeta {
     pub schema_version: u64,
     /// Logical cores the host reported (1 if unknown).
     pub host_cores: u64,
-    /// Worker threads the run's pool actually used (0 = serial).
+    /// Worker threads the run used concurrently (0 = serial).
     pub pool_workers: u64,
     /// Wall-clock seconds the run took (0 until measured).
     pub wall_s: f64,
 }
 
 impl RunMeta {
-    /// Capture host facts now; `pool_workers` is the effective pool size
-    /// the caller resolved (after `WORMDSM_POOL_WORKERS` / flags).
+    /// Capture host facts now; `pool_workers` is the number of worker
+    /// threads the caller runs concurrently (0 = serial).
     pub fn capture(pool_workers: usize) -> Self {
         let host_cores = std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1);
         Self {
@@ -211,12 +211,11 @@ impl RunMeta {
 /// Metric-name prefixes that vary between otherwise bit-identical runs
 /// and must be ignored by determinism fingerprints / diffs: flight-
 /// recorder lifetime counters (differ by trace level), [`RunMeta`]
-/// provenance (differ by host and wall clock), and engine-execution
-/// bookkeeping — tile-speculation and scratch counters record *how* the
-/// tick engine scheduled the run (tile count, probe-forced serial
-/// schedules), never *what* was simulated.
-pub const NONDETERMINISTIC_METRIC_PREFIXES: [&str; 4] =
-    ["trace_events_", "run_", "net_spec_", "net_scratch_grows"];
+/// provenance (differ by host and wall clock), and the tick engine's
+/// scratch-buffer growth counter, which records allocator warm-up, never
+/// *what* was simulated.
+pub const NONDETERMINISTIC_METRIC_PREFIXES: [&str; 3] =
+    ["trace_events_", "run_", "net_scratch_grows"];
 
 fn prom_name(name: &str) -> String {
     let mut s = String::with_capacity(name.len());

@@ -68,8 +68,7 @@ pub trait InvalidationScheme: Send + Sync {
     /// When `Some(w)`, the system attaches a [`LinkLoadMeter`] with window
     /// `w` to the network and passes it to [`plan_with_load`] on every
     /// invalidation. The meter reads only *committed* windows of the
-    /// bit-identical `link_busy` counters, so plans stay deterministic
-    /// across tile counts.
+    /// `link_busy` counters, so plans stay deterministic.
     ///
     /// [`plan_with_load`]: InvalidationScheme::plan_with_load
     fn feedback_window(&self) -> Option<Cycle> {

@@ -445,23 +445,12 @@ impl DsmSystem {
         self.skipped_cycles
     }
 
-    /// Re-partition the network tick engine into `tiles` row bands at
-    /// runtime (see `Network::set_tiles`). Results are bit-identical for
-    /// any tile count; only wall time changes.
+    /// Compatibility shim from the removed partitioned tick: the network
+    /// has one serial engine, so the only accepted tile count is 1 and
+    /// the call does nothing. It goes in the benchmark change that
+    /// removes `perfbench`'s two `set_tiles` calls.
     pub fn set_tiles(&mut self, tiles: usize) {
-        self.net.set_tiles(tiles);
-    }
-
-    /// Worker threads the parallel tick pool actually holds (0 when the
-    /// engine runs serially). May be fewer than `tiles - 1` on hosts with
-    /// little spare parallelism; see `WORMDSM_POOL_WORKERS`.
-    pub fn effective_workers(&self) -> usize {
-        self.net.effective_workers()
-    }
-
-    /// Current tile count of the network tick engine (1 = serial).
-    pub fn tiles(&self) -> usize {
-        self.net.tiles()
+        assert_eq!(tiles, 1, "the partitioned tick was removed; only tiles = 1 is accepted");
     }
 
     /// Current cycle.
@@ -483,10 +472,8 @@ impl DsmSystem {
     // Tracing and invariant auditing.
     // ------------------------------------------------------------------
 
-    /// Set the flight recorder's runtime level. [`TraceLevel::Flit`]
-    /// forces the network onto its serial tick schedule so per-hop events
-    /// are never lost — results stay bit-identical, only wall time
-    /// changes.
+    /// Set the flight recorder's runtime level. Tracing is a pure
+    /// observer: results stay bit-identical at every level.
     pub fn set_trace_level(&mut self, level: TraceLevel) {
         self.net.set_trace_level(level);
     }
@@ -832,9 +819,8 @@ impl DsmSystem {
     /// with the original: stepping both from the snapshot point produces
     /// the same metrics, cycle for cycle. Snapshots of runs that already
     /// tripped a protocol invariant are refused — their state is
-    /// untrustworthy by definition. The tile count comes from `cfg`;
-    /// observers (flight recorder, contention probe, profiler) start
-    /// fresh.
+    /// untrustworthy by definition. Observers (flight recorder,
+    /// contention probe, profiler) start fresh.
     pub fn restore_snapshot(
         cfg: SystemConfig,
         scheme: Box<dyn InvalidationScheme>,

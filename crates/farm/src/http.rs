@@ -33,6 +33,9 @@ const MAX_BODY: usize = 64 * 1024;
 /// turns into a prompt, orderly exit.
 pub fn serve(farm: &Arc<Farm>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
+    // The first client usually connects right after the service starts:
+    // poll fast at first, doubling the wait up to the steady 20 ms.
+    let mut idle = Duration::from_micros(50);
     loop {
         if farm.shutdown_requested() {
             return Ok(());
@@ -45,7 +48,8 @@ pub fn serve(farm: &Arc<Farm>, listener: TcpListener) -> std::io::Result<()> {
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(idle);
+                idle = (idle * 2).min(Duration::from_millis(20));
             }
             Err(e) => return Err(e),
         }

@@ -38,7 +38,10 @@ pub struct JobSpec {
     pub app: String,
     /// Mesh side (k x k processors).
     pub k: usize,
-    /// Partitioned-tick tile count (1 = serial engine).
+    /// Tile count of the removed partitioned tick. Kept so the canonical
+    /// string (and with it every dedup hash) stays unchanged; `validate`
+    /// accepts only 1. It goes in the benchmark change that removes
+    /// `perfbench`'s two `DsmSystem::set_tiles` calls.
     pub tiles: usize,
     /// Synthetic pattern kind: `"uniform"`, `"col"`, `"row"`,
     /// `"cluster"`. Ignored (but still hashed) for application jobs.
@@ -54,8 +57,8 @@ pub struct JobSpec {
     pub compute_scale: u64,
     /// Completion deadline in cycles.
     pub max_cycles: Cycle,
-    /// Attach the latency-attribution profiler (forces flit tracing and
-    /// the serial tick; results stay bit-identical).
+    /// Attach the latency-attribution profiler (forces flit tracing;
+    /// results stay bit-identical).
     pub profile: bool,
 }
 
@@ -112,8 +115,11 @@ impl JobSpec {
         let Some(nodes) = self.k.checked_mul(self.k).filter(|&n| n <= MAX_NODES) else {
             return Err(format!("k={} too large (at most {MAX_NODES} nodes)", self.k));
         };
-        if self.tiles < 1 {
-            return Err("tiles must be >= 1".to_string());
+        if self.tiles != 1 {
+            return Err(format!(
+                "tiles={} unsupported: the network has one serial engine (tiles=1)",
+                self.tiles
+            ));
         }
         if self.max_cycles < 1 {
             return Err("max_cycles must be >= 1".to_string());
@@ -302,7 +308,7 @@ mod tests {
             scheme: SchemeKind::MiMaTree,
             app: "synth".into(),
             k: 8,
-            tiles: 2,
+            tiles: 1,
             pattern: "col".into(),
             d: 6,
             episodes: 5,
@@ -311,7 +317,7 @@ mod tests {
             max_cycles: 1_000_000,
             profile: true,
         };
-        let q = "scheme=MI-MA%28tree%29&app=synth&k=8&tiles=2&pattern=col&d=6&episodes=5&seed=42\
+        let q = "scheme=MI-MA%28tree%29&app=synth&k=8&tiles=1&pattern=col&d=6&episodes=5&seed=42\
                  &compute_scale=3&max_cycles=1000000&profile=true";
         let parsed = JobSpec::parse_query(q).unwrap();
         assert_eq!(parsed, spec);
@@ -347,6 +353,8 @@ mod tests {
         assert!(JobSpec::parse_query("k=1").is_err());
         assert!(JobSpec::parse_query("nope=1").is_err());
         assert!(JobSpec::parse_query("k=abc").is_err());
+        assert!(JobSpec::parse_query("tiles=0").is_err());
+        assert!(JobSpec::parse_query("tiles=2").is_err(), "only the serial engine exists");
         assert!(JobSpec::parse_query("app=synth&pattern=zigzag").is_err());
         assert!(JobSpec::parse_query("app=synth&k=2&d=9").is_err(), "d+2 > k*k");
         assert!(JobSpec::parse_query("app=synth&pattern=col&d=3").is_err(), "column pool is k");

@@ -27,7 +27,6 @@ fn standalone_fingerprint(spec: &JobSpec) -> u64 {
     let workload = spec.workload().unwrap();
     let mut sys =
         DsmSystem::new(SystemConfig::for_scheme(spec.k, spec.scheme), spec.scheme.build());
-    sys.set_tiles(spec.tiles);
     workload.run(&mut sys, spec.max_cycles).unwrap();
     metrics_fingerprint(&sys.export_metrics())
 }
@@ -43,7 +42,7 @@ fn farm_job_fingerprints_bit_identical_to_standalone() {
     let specs = [
         synth_spec(7),
         JobSpec { scheme: SchemeKind::MiMaCol, pattern: "col".into(), d: 2, ..synth_spec(7) },
-        JobSpec { scheme: SchemeKind::MiMaTree, d: 8, episodes: 8, tiles: 2, ..synth_spec(7) },
+        JobSpec { scheme: SchemeKind::MiMaTree, d: 8, episodes: 8, ..synth_spec(7) },
     ];
     let farm = Farm::new(FarmConfig {
         workers: 2,

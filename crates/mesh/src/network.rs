@@ -25,77 +25,30 @@
 //! one link cycle; the simplification affects back-to-back worm reuse of a
 //! VC by at most one cycle).
 //!
-//! # Space-partitioned parallel tick
+//! # Schedule
 //!
-//! With [`MeshConfig::tiles`] > 1 the mesh is split into contiguous row
-//! bands ([`Mesh2D::row_bands`]) and all three phases run for every tile
-//! concurrently on a persistent worker pool, **bit-identically** to the
-//! serial schedule. The phase logic is written once, against a
-//! [`TileView`] holding the tile's disjoint window of every per-node slab;
-//! `tiles = 1` is simply the single-tile instance of the same code.
-//! Bit-identity rests on four mechanisms:
-//!
-//! * **Lookahead on links.** A flit deposited downstream carries a future
-//!   `ready_at` (`now + router_delay` for heads, `now + 1` for bodies,
-//!   plus any hierarchy link delay), and every same-cycle reader checks
-//!   `ready_at <= now` or an allocation mode the fresh flit cannot have —
-//!   so a deposit is behavior-invisible in the cycle it is made, and
-//!   deferring cross-tile deposits to the cycle barrier changes nothing.
-//! * **One-writer buffers.** Each router input `(port, vc)` has exactly
-//!   one possible upstream writer per cycle, so deferred deposits commute.
-//! * **Speculative credit validation.** Credit return is same-cycle, and
-//!   the ascending serial sweep makes exactly one direction observable: a
-//!   router in the *first row of a tile* sending **north** across the
-//!   boundary could consume, in the same cycle, a credit returned by the
-//!   downstream router in the tile above. All other cross-tile credits
-//!   are returned to routers the serial sweep has already passed, so
-//!   deferring them to the barrier is exact. Tiles run *optimistically*
-//!   with **virtual credits**: at the one arbitration point where the
-//!   divergence can matter (`pick_link_winner` on a credit-starved
-//!   northbound first-row output), the starved candidate competes as if
-//!   one credit were available — betting the same-cycle boundary credit
-//!   *does* arrive, which under sustained streaming it almost always
-//!   does (the downstream channel drains one flit per cycle). If it wins,
-//!   the forward proceeds without decrementing the (zero) credit counter
-//!   and the borrow is recorded as a [`SpecAssume`]. At the barrier,
-//!   *before* any deferred work is applied, per-tile FNV-64 digests over
-//!   the assumed credits and the deferred credits that actually landed
-//!   on an assumed slot are compared. On a match the cycle commits
-//!   ([`NetStats::spec_commits`]) and each matched credit is swallowed —
-//!   the forward already spent it, so also returning it would mint one.
-//!   On a mismatch (the bet credit never came) the engine restores a
-//!   pre-dispatch checkpoint of every node a tile could have touched
-//!   (worklists plus their in-tile neighbors) and replays the cycle on
-//!   the single-tile serial schedule ([`NetStats::spec_rollbacks`],
-//!   [`NetStats::spec_replayed_cycles`]), which is exact by construction.
-//!   Exactness of a commit: the tiled candidate set is a superset of the
-//!   serial one, and RR arbitration picks the minimum-key candidate, so
-//!   non-winning virtual candidates can never change the winner; if the
-//!   winner's credit did arrive, the serial sweep had the identical
-//!   candidate (credit applied before `r` was swept) and made the
-//!   identical move.
-//! * **Ordered replay.** Worm-table mutations from phase 3 (copy counts,
-//!   delivery state, retire order, f64 latency accumulation) are recorded
-//!   as per-tile event lists and replayed at the barrier in tile order —
-//!   which is ascending node order, i.e. exactly the serial schedule.
-//!   Phase-1/2 worm access needs no replay: only the router holding a
-//!   worm's *head* mutates its record, and a head exists at one router.
+//! Each tick is one serial pass over two worklists, the routers that may
+//! hold flits and the NICs that may have phase-3 work, each sorted into
+//! ascending node order. Nodes off both lists are provably no-ops in
+//! every phase, so the pass is bit-identical to a full ascending sweep.
+//! A flit deposited downstream carries a future `ready_at` (`now +
+//! router_delay` for heads, `now + 1` for bodies, plus any hierarchy link
+//! delay), so it never moves again in the cycle it arrives. Credits
+//! return in the same cycle, so the ascending node order is part of the
+//! model: a router may spend a credit that a lower-numbered neighbor
+//! freed earlier in the same pass.
 
-use crate::nic::{
-    Delivery, DeliveryKind, GatherCheck, IackMode, NicNodeCk, NicSlab, NicTile, StreamState,
-};
-use crate::router::{BufFlit, RouterNodeCk, RouterSlab, RouterTile, VcMode};
+use crate::nic::{Delivery, DeliveryKind, GatherCheck, IackMode, NicSlab, StreamState};
+use crate::router::{BufFlit, RouterSlab, VcMode};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
 use crate::topology::{ChipGrid, Direction, Mesh2D, NodeId, Port, NUM_PORTS};
 use crate::worm::{
-    Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormRt, WormSpec, WormState, WormTable,
-    NUM_VNETS,
+    Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormSpec, WormState, WormTable, NUM_VNETS,
 };
-use std::sync::Mutex;
 use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use wormdsm_sim::trace::{FlightRecorder, TraceClass, TraceKind, TraceLevel};
-use wormdsm_sim::{BitSet128, Cycle, Fnv64, NoProgress, Registry, Summary, Watchdog, WorkerPool};
+use wormdsm_sim::{BitSet128, Cycle, NoProgress, Registry, Summary, Watchdog};
 
 /// Flight-recorder label for a worm kind.
 fn worm_kind_label(kind: WormKind) -> &'static str {
@@ -147,9 +100,6 @@ pub struct MeshConfig {
     pub iack_buffers: usize,
     /// Behaviour of gather worms whose ack has not been posted.
     pub iack_mode: IackMode,
-    /// Row-band tiles stepped concurrently each cycle (1 = serial; clamped
-    /// to the mesh height). Every value produces bit-identical results.
-    pub tiles: usize,
     /// Optional two-level mesh-of-meshes grouping (None = flat mesh).
     pub hierarchy: Option<Hierarchy>,
 }
@@ -169,7 +119,6 @@ impl MeshConfig {
             cons_buf_flits: 8,
             iack_buffers: 4,
             iack_mode: IackMode::VctDefer,
-            tiles: 1,
             hierarchy: None,
         }
     }
@@ -307,22 +256,6 @@ pub struct NetStats {
     /// state this stays at its warm-up value: the per-cycle hot loop
     /// reuses the same buffers and allocates nothing.
     pub scratch_grows: u64,
-    /// Speculative multi-tile cycles whose boundary-credit validation
-    /// digests matched and committed (see the module docs). Zero when
-    /// `tiles = 1`.
-    pub spec_commits: u64,
-    /// Speculative multi-tile cycles rolled back to the pre-dispatch
-    /// checkpoint because a validation digest mismatched.
-    pub spec_rollbacks: u64,
-    /// Cycles re-executed on the serial schedule after a rollback. The
-    /// per-cycle engine replays exactly the mis-speculated cycle, so this
-    /// equals [`NetStats::spec_rollbacks`].
-    pub spec_replayed_cycles: u64,
-    /// Rollback causes by tile: `spec_rollback_by_tile[t]` counts the
-    /// rollbacks in which tile `t`'s validation digest mismatched (a
-    /// single rollback can charge several tiles). Sized by
-    /// [`Network::set_tiles`].
-    pub spec_rollback_by_tile: Vec<u64>,
 }
 
 impl NetStats {
@@ -346,10 +279,6 @@ impl NetStats {
             gather_latency: Summary::new(),
             worm_slots_reused: 0,
             scratch_grows: 0,
-            spec_commits: 0,
-            spec_rollbacks: 0,
-            spec_replayed_cycles: 0,
-            spec_rollback_by_tile: Vec::new(),
         }
     }
 
@@ -380,12 +309,6 @@ impl NetStats {
         r.counter("deposit_retries", self.deposit_retries);
         r.counter("worm_slots_reused", self.worm_slots_reused);
         r.counter("scratch_grows", self.scratch_grows);
-        r.counter("spec_commits", self.spec_commits);
-        r.counter("spec_rollbacks", self.spec_rollbacks);
-        r.counter("spec_replayed_cycles", self.spec_replayed_cycles);
-        for (t, &n) in self.spec_rollback_by_tile.iter().enumerate() {
-            r.counter(&format!("spec_rollback_tile{t}"), n);
-        }
         r.gauge("max_link_utilization", self.max_link_utilization(elapsed));
         r.summary("unicast_latency", &self.unicast_latency);
         r.summary("multicast_latency", &self.multicast_latency);
@@ -414,10 +337,9 @@ pub struct ContentionWindow {
 ///
 /// Links are directed router outputs indexed `node * 4 + dir`
 /// (matching [`NetStats::link_busy`]); each link has `vcs_total` VC
-/// slots. The probe is a pure observer fed from the serial tile pass
-/// (enabling it forces the single-tile schedule, like flit tracing), so
-/// it cannot perturb results. Consumed by `exp_profile` for per-scheme
-/// contention heatmaps and Chrome-trace counter tracks.
+/// slots. The probe is a pure observer fed from the tick's movement
+/// phase, so it cannot perturb results. Consumed by `exp_profile` for
+/// per-scheme contention heatmaps and Chrome-trace counter tracks.
 #[derive(Debug, Clone)]
 pub struct ContentionProbe {
     window: Cycle,
@@ -543,14 +465,10 @@ impl ContentionProbe {
 /// Cheap always-on per-link occupancy summary — the feedback signal for
 /// load-adaptive grouping schemes.
 ///
-/// Unlike the [`ContentionProbe`], which instruments the flit path and
-/// therefore forces the serial tile schedule, the meter never observes
-/// individual forwards: at the first tick of each `window`-cycle
-/// accounting window it *commits* the delta of [`NetStats::link_busy`]
-/// since the previous commit. `link_busy` is maintained bit-identically
-/// across tile counts at every cycle boundary (each tile writes its own
-/// row-band slice), so the committed summaries — and any plan decisions
-/// derived from them — are identical under any tiling.
+/// Unlike the [`ContentionProbe`], which instruments the flit path, the
+/// meter never observes individual forwards: at the first tick of each
+/// `window`-cycle accounting window it *commits* the delta of
+/// [`NetStats::link_busy`] since the previous commit.
 ///
 /// Consumers only ever see **committed** (completed-window) data, never
 /// the in-progress window, so a plan built at cycle `t` depends only on
@@ -660,389 +578,94 @@ const LOCAL: usize = 4;
 /// must match the field type exactly).
 const LOCAL8: u8 = LOCAL as u8;
 
-/// Minimum worklist entries *per tile* before a cycle is dispatched to the
-/// worker pool. A worklist visit costs on the order of 100ns; the
-/// fan-out/barrier round trip costs a few microseconds even with spinning
-/// workers, so thin cycles are faster on the serial inline path. Purely a
-/// wall-time heuristic — both paths compute bit-identical state.
-const PARALLEL_WORK_PER_TILE: usize = 12;
-
-/// One recorded speculation assumption about the same-cycle northbound
-/// boundary credit at `node`'s north output VC `vc`, validated at the
-/// barrier against the deferred [`XCredit`] traffic. A credit-starved
-/// candidate that **won** arbitration on a *virtual credit* records one —
-/// the bet is that the matching credit **does** arrive (it almost always
-/// does under sustained streaming, where the downstream channel drains
-/// one flit per cycle). Commit requires a matching deferred credit, which
-/// the barrier then swallows (the forward already spent it).
-#[derive(Debug, Clone, Copy)]
-struct SpecAssume {
-    node: u32,
-    vc: u8,
-}
-
-/// Per-tile counter deltas, summed into [`NetStats`] at the cycle barrier
-/// (u64 additions commute, so per-tile accumulation is exact).
-#[derive(Debug, Default, Clone)]
-struct TileStats {
-    flit_hops: u64,
-    flits_injected: u64,
-    flits_consumed: u64,
-    deliveries: u64,
-    gather_blocked_cycles: u64,
-    multicast_blocked_cycles: u64,
-    parks: u64,
-    bounces: u64,
-    resumes: u64,
-    deposits: u64,
-    deposit_retries: u64,
-}
-
-impl TileStats {
-    fn merge_into(&mut self, g: &mut NetStats) {
-        g.flit_hops += self.flit_hops;
-        g.flits_injected += self.flits_injected;
-        g.flits_consumed += self.flits_consumed;
-        g.deliveries += self.deliveries;
-        g.gather_blocked_cycles += self.gather_blocked_cycles;
-        g.multicast_blocked_cycles += self.multicast_blocked_cycles;
-        g.parks += self.parks;
-        g.bounces += self.bounces;
-        g.resumes += self.resumes;
-        g.deposits += self.deposits;
-        g.deposit_retries += self.deposit_retries;
-        *self = TileStats::default();
-    }
-}
-
-/// A flit handoff crossing a tile boundary, applied at the cycle barrier.
-#[derive(Debug, Clone, Copy)]
-struct XDeposit {
-    node: usize,
-    port: usize,
-    vc: usize,
-    bf: BufFlit,
-}
-
-/// A credit return crossing a tile boundary, applied at the cycle barrier.
-#[derive(Debug, Clone, Copy)]
-struct XCredit {
-    node: usize,
-    port: usize,
-    vc: usize,
-}
-
-/// A worm completion (tail drained at a NIC) recorded by a tile worker and
-/// replayed at the barrier: worm-table writes shared between tiles, the
-/// LIFO retire order, the live-worm count, and f64 latency accumulation
-/// are all order-sensitive, so they run in the exact serial schedule.
-#[derive(Debug, Clone, Copy)]
-struct WormEvent {
-    wid: WormId,
-    /// Node the tail drained at (flight-recorder diagnostics).
-    node: usize,
-    /// Final consumption (vs. an absorb-copy drain).
-    is_final: bool,
-    kind: WormKind,
-    latency: f64,
-}
-
-/// Per-tile deferred-work buffers. Persistent across cycles so the steady
-/// state hot loop allocates nothing.
+/// Worklist output of one tick, appended to the network's worklists once
+/// the pass ends, so each worklist grows by one append per tick (the
+/// growth `NetStats::scratch_grows` counts and snapshots carry).
+/// Persistent across cycles so the steady-state hot loop allocates
+/// nothing.
 #[derive(Debug, Default)]
-struct TileScratch {
-    stats: TileStats,
-    /// First mesh-level invariant violation detected by this tile's pass
-    /// (e.g. a consumption-channel owner mismatch), surfaced at the
-    /// barrier. Always-on, unlike the `debug_assert!` it replaced.
-    violation: Option<String>,
-    deposits: Vec<XDeposit>,
-    credits: Vec<XCredit>,
-    events: Vec<WormEvent>,
+struct TickScratch {
     /// Routers to put on the *next* cycle's worklist.
     new_routers: Vec<usize>,
     /// NICs to put on the *next* cycle's worklist.
     new_nics: Vec<usize>,
-    /// Nodes with fresh undrained deliveries.
-    delivered: Vec<usize>,
     /// This cycle's NIC worklist (pre-tick actives + phase-1/2
-    /// activations), built and consumed inside the tile pass.
+    /// activations), built and consumed inside the pass.
     nic_work: Vec<usize>,
-    /// Boundary-credit assumptions recorded by this tile's speculative
-    /// pass (empty under `tiles = 1`, where no boundary exists).
-    assumptions: Vec<SpecAssume>,
 }
 
-impl TileScratch {
-    /// Discard everything this tile's mis-speculated pass produced, ahead
-    /// of a rollback replay. Buffers keep their capacity.
-    fn reset_for_rollback(&mut self) {
-        self.stats = TileStats::default();
-        self.violation = None;
-        self.deposits.clear();
-        self.credits.clear();
-        self.events.clear();
-        self.new_routers.clear();
-        self.new_nics.clear();
-        self.delivered.clear();
-        self.nic_work.clear();
-        self.assumptions.clear();
-    }
-}
-
-/// Pre-dispatch checkpoint for one speculative cycle: the full router,
-/// NIC, flag and link-accounting state of every node a tile pass could
-/// possibly write this cycle (the router/NIC worklists plus the in-mesh
-/// 4-neighbors of the router worklist — deposits and credit returns reach
-/// exactly one hop), plus every worm's mutable runtime fields. All
-/// buffers are pooled: in steady state a capture allocates nothing.
-#[derive(Debug, Default)]
-struct SpecCheckpoint {
-    /// Captured node ids (deduplicated, insertion order; parallel to
-    /// `routers` / `nics` / `flags` / `link_busy`).
-    nodes: Vec<u32>,
-    /// Stamp per mesh node: `marks[n] == stamp` means `n` is in `nodes`.
-    marks: Vec<u32>,
-    stamp: u32,
-    routers: Vec<RouterNodeCk>,
-    nics: Vec<NicNodeCk>,
-    /// `(router_active, nic_active, delivered_flag)` per captured node.
-    flags: Vec<(bool, bool, bool)>,
-    /// The node's four [`NetStats::link_busy`] slots.
-    link_busy: Vec<[u64; 4]>,
-    worm_rt: Vec<WormRt>,
-}
-
-impl SpecCheckpoint {
-    /// Start a fresh capture over a mesh of `nodes` nodes.
-    fn begin(&mut self, nodes: usize) {
-        self.nodes.clear();
-        if self.marks.len() != nodes {
-            self.marks = vec![0; nodes];
-            self.stamp = 0;
-        }
-        self.stamp = match self.stamp.checked_add(1) {
-            Some(s) => s,
-            None => {
-                self.marks.fill(0);
-                1
-            }
-        };
-    }
-
-    /// Add node `n` to the capture set (idempotent).
-    #[inline]
-    fn add(&mut self, n: usize) {
-        if self.marks[n] != self.stamp {
-            self.marks[n] = self.stamp;
-            self.nodes.push(n as u32);
-        }
-    }
-
-    /// Capture state for every node added so far.
-    #[allow(clippy::too_many_arguments)]
-    fn capture(
-        &mut self,
-        routers: &RouterSlab,
-        nics: &NicSlab,
-        router_active: &[bool],
-        nic_active: &[bool],
-        delivered_flag: &[bool],
-        link_busy: &[u64],
-        worms: &WormTable,
-    ) {
-        self.flags.clear();
-        self.link_busy.clear();
-        for (i, &n) in self.nodes.iter().enumerate() {
-            let n = n as usize;
-            if self.routers.len() <= i {
-                self.routers.push(RouterNodeCk::default());
-                self.nics.push(NicNodeCk::default());
-            }
-            routers.capture_node(n, &mut self.routers[i]);
-            nics.capture_node(n, &mut self.nics[i]);
-            self.flags.push((router_active[n], nic_active[n], delivered_flag[n]));
-            self.link_busy.push(link_busy[n * 4..n * 4 + 4].try_into().expect("4 slots"));
-        }
-        worms.capture_rt(&mut self.worm_rt);
-    }
-
-    /// Undo a mis-speculated pass: restore every captured node and the
-    /// worm table to their pre-dispatch state.
-    #[allow(clippy::too_many_arguments)]
-    fn restore(
-        &self,
-        routers: &mut RouterSlab,
-        nics: &mut NicSlab,
-        router_active: &mut [bool],
-        nic_active: &mut [bool],
-        delivered_flag: &mut [bool],
-        link_busy: &mut [u64],
-        worms: &mut WormTable,
-    ) {
-        for (i, &n) in self.nodes.iter().enumerate() {
-            let n = n as usize;
-            routers.restore_node(n, &self.routers[i]);
-            nics.restore_node(n, &self.nics[i]);
-            let (ra, na, df) = self.flags[i];
-            router_active[n] = ra;
-            nic_active[n] = na;
-            delivered_flag[n] = df;
-            link_busy[n * 4..n * 4 + 4].copy_from_slice(&self.link_busy[i]);
-        }
-        worms.restore_rt(&self.worm_rt);
-    }
-}
-
-/// Shared access to the worm table from concurrent tile workers.
-///
-/// # Safety
-///
-/// This is the engine's one `unsafe` aliasing construct; soundness rests
-/// on scheduling invariants of the tick, not on types:
-///
-/// * No insert or retire runs while workers hold the snapshot (injection
-///   is an inter-tick API; retire is replayed at the barrier), so the
-///   base pointer stays valid and no record moves.
-/// * `get_mut` is only called for worms the calling tile has *exclusive*
-///   dynamic ownership of: a worm's head flit sits in exactly one router
-///   (phase 1/2 mutations), and streaming/parked/bounced worms live at
-///   exactly one NIC (phase 3 mutations). Shared-worm completions are
-///   never mutated in workers — they defer to [`WormEvent`] replay.
-/// * `get` from workers only reads fields that are stable for the whole
-///   cycle (the immutable `spec`, plus `acks`/`bounced`/`queued_at` of
-///   fully-consumed worms, which nothing mutates until replay).
-#[derive(Debug, Clone, Copy)]
-struct SharedWorms {
-    base: *mut Worm,
-    len: usize,
-}
-
-unsafe impl Send for SharedWorms {}
-unsafe impl Sync for SharedWorms {}
-
-impl SharedWorms {
-    fn new(table: &mut WormTable) -> Self {
-        let (base, len) = table.raw();
-        Self { base, len }
-    }
-
-    #[inline]
-    fn get(&self, id: WormId) -> &Worm {
-        debug_assert!((id.0 as usize) < self.len);
-        unsafe { &*self.base.add(id.0 as usize) }
-    }
-
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // exclusivity is the documented invariant
-    fn get_mut(&self, id: WormId) -> &mut Worm {
-        debug_assert!((id.0 as usize) < self.len);
-        unsafe { &mut *self.base.add(id.0 as usize) }
-    }
-}
-
-/// One tile's view of the network for a single tick: an exclusive window
-/// of every per-node slab, shared read-only configuration, and deferred
-/// queues for the few effects that cross tile boundaries. All phase logic
-/// is written against this view; the serial engine is the `tiles = 1`
-/// single-view instance, so there is exactly one code path to keep
-/// bit-identical.
-struct TileView<'a> {
-    /// First node index of the tile; the slab windows and the flag slices
-    /// below cover `base..end`.
-    base: usize,
-    /// One-past-last node index of the tile.
-    end: usize,
-    routers: RouterTile<'a>,
-    nics: NicTile<'a>,
+/// The network borrowed for one tick: every field the three phases touch,
+/// as disjoint borrows, so the worklist snapshots can be walked while the
+/// slabs mutate.
+struct TickView<'a> {
+    routers: &'a mut RouterSlab,
+    nics: &'a mut NicSlab,
+    worms: &'a mut WormTable,
+    stats: &'a mut NetStats,
+    live_worms: &'a mut usize,
     router_active: &'a mut [bool],
     nic_active: &'a mut [bool],
     delivered_flag: &'a mut [bool],
-    /// This tile's `node * 4 + dir` slice of [`NetStats::link_busy`].
-    link_busy: &'a mut [u64],
+    delivered_nodes: &'a mut Vec<usize>,
     /// Extra per-link delays from the hierarchy, indexed `node * 4 + dir`
-    /// with *global* node ids (read-only, so the full slice is shared by
-    /// every tile; all zeros on a flat mesh).
+    /// (all zeros on a flat mesh).
     link_extra: &'a [Cycle],
-    worms: SharedWorms,
     cfg: &'a MeshConfig,
     /// Precomputed next-hop tables, indexed by `VNet::index()`.
     tables: &'a [RouteTable; NUM_VNETS],
-    scratch: &'a mut TileScratch,
-    /// Flight recorder for per-hop route events. Only the single-tile
-    /// (serial) schedule carries it; [`TraceLevel::Flit`] forces that
-    /// schedule (see [`Network::tick`]), so no hop is ever lost.
-    trace: Option<&'a mut FlightRecorder>,
-    /// Contention probe for per-link/VC occupancy windows. Like `trace`,
-    /// only the single-tile schedule carries it, and an enabled probe
-    /// forces that schedule.
+    scratch: &'a mut TickScratch,
+    /// The network's sticky invariant violation.
+    violation: &'a mut Option<String>,
+    trace: &'a mut FlightRecorder,
     probe: Option<&'a mut ContentionProbe>,
-    /// Read-only borrow-eligibility stamps from
-    /// [`Network::spec_borrow_scan`] (`node * vcs + vc == now` ⇒ a
-    /// virtual-credit borrow is worth betting on). Empty on schedules
-    /// that never consult it (serial, rollback replay).
-    borrow_marks: &'a [Cycle],
 }
 
-/// Work assigned to one tile for one tick.
-type TileJob<'a> = (TileView<'a>, &'a [usize], &'a [usize]);
-
-impl<'a> TileView<'a> {
-    #[inline]
-    fn in_tile(&self, n: usize) -> bool {
-        (self.base..self.end).contains(&n)
-    }
-
-    /// Put an in-tile router on the next cycle's worklist.
+impl TickView<'_> {
+    /// Put a router on the next cycle's worklist.
     fn activate_router(&mut self, r: usize) {
-        let l = r - self.base;
-        if !self.router_active[l] {
-            self.router_active[l] = true;
+        if !self.router_active[r] {
+            self.router_active[r] = true;
             self.scratch.new_routers.push(r);
         }
     }
 
-    /// Put an in-tile NIC on *this* cycle's phase-3 worklist (mirrors the
-    /// serial engine, whose NIC snapshot is taken after the router phases
-    /// and therefore includes same-cycle activations).
+    /// Put a NIC on *this* cycle's phase-3 worklist (the NIC snapshot is
+    /// taken after the router phases and so includes same-cycle
+    /// activations).
     fn activate_nic(&mut self, n: usize) {
-        let l = n - self.base;
-        if !self.nic_active[l] {
-            self.nic_active[l] = true;
+        if !self.nic_active[n] {
+            self.nic_active[n] = true;
             self.scratch.nic_work.push(n);
         }
     }
 
-    /// Put an in-tile NIC on the next cycle's worklist (post-phase-3
-    /// re-arm; flags were cleared at phase-3 start).
+    /// Put a NIC on the next cycle's worklist (post-phase-3 re-arm; flags
+    /// were cleared at phase-3 start).
     fn rearm_nic(&mut self, n: usize) {
-        let l = n - self.base;
-        if !self.nic_active[l] {
-            self.nic_active[l] = true;
+        if !self.nic_active[n] {
+            self.nic_active[n] = true;
             self.scratch.new_nics.push(n);
         }
     }
 
     fn note_delivery(&mut self, n: usize) {
-        let l = n - self.base;
-        if !self.delivered_flag[l] {
-            self.delivered_flag[l] = true;
-            self.scratch.delivered.push(n);
+        if !self.delivered_flag[n] {
+            self.delivered_flag[n] = true;
+            self.delivered_nodes.push(n);
         }
     }
 
-    /// Run all three phases for this tile. `router_work` and `nic_seed`
-    /// are this tile's (sorted) partitions of the global worklists.
+    /// Run all three phases. `router_work` and `nic_seed` are the sorted
+    /// worklist snapshots taken at the start of the tick.
     fn run_pass(&mut self, now: Cycle, router_work: &[usize], nic_seed: &[usize]) {
         // Clear membership flags so same-cycle deposits re-arm receivers
-        // on the fresh list, exactly like the serial engine.
+        // on the fresh list.
         for &r in router_work {
-            self.router_active[r - self.base] = false;
+            self.router_active[r] = false;
         }
         self.phase_heads(now, router_work);
         self.phase_movement(now, router_work);
-        // Routers that still hold flits stay active next cycle. Cross-tile
-        // deposits into this tile are activated by the barrier instead.
+        // Routers that still hold flits stay active next cycle.
         for &r in router_work {
             if self.routers.flits(r) > 0 {
                 self.activate_router(r);
@@ -1051,12 +674,12 @@ impl<'a> TileView<'a> {
 
         // Phase-3 worklist: phase-1/2 activations (pushed above) plus the
         // pre-tick snapshot; flags dedupe the union, sorting restores the
-        // ascending order of the serial sweep.
+        // ascending node order.
         self.scratch.nic_work.extend_from_slice(nic_seed);
         let mut nw = std::mem::take(&mut self.scratch.nic_work);
         nw.sort_unstable();
         for &n in &nw {
-            self.nic_active[n - self.base] = false;
+            self.nic_active[n] = false;
         }
         self.phase_nic(now, &nw);
         for &n in &nw {
@@ -1098,9 +721,8 @@ impl<'a> TileView<'a> {
         debug_assert_eq!(front.flit.kind, FlitKind::Head, "non-head at front of unallocated VC");
         let wid = front.flit.worm;
         let here = NodeId(r as u16);
-        let worms = self.worms;
         let (kind, next_dest, at_last, reserve, txn, len, vnet) = {
-            let w = worms.get(wid);
+            let w = self.worms.get(wid);
             (
                 w.spec.kind,
                 w.next_dest(),
@@ -1115,9 +737,9 @@ impl<'a> TileView<'a> {
         if next_dest == here {
             if at_last {
                 self.process_final_dest(r, port, vc, wid);
-            } else if !worms.get(wid).delivers_here() {
+            } else if !self.worms.get(wid).delivers_here() {
                 // Pure routing waypoint: strip the header hop and continue.
-                worms.get_mut(wid).dest_idx += 1;
+                self.worms.get_mut(wid).dest_idx += 1;
                 self.routers.set_front_ready(r, port, vc, now + self.cfg.strip_delay);
             } else {
                 match kind {
@@ -1141,7 +763,7 @@ impl<'a> TileView<'a> {
     /// and carries its own acknowledgement as the gather's initial count.
     fn process_final_dest(&mut self, r: usize, port: usize, vc: usize, wid: WormId) {
         let Some(cc) = self.nics.free_cons(r) else {
-            self.scratch.stats.multicast_blocked_cycles += 1;
+            self.stats.multicast_blocked_cycles += 1;
             return;
         };
         self.nics.reserve_cons(r, cc, wid, false);
@@ -1169,18 +791,18 @@ impl<'a> TileView<'a> {
         txn: TxnId,
     ) {
         if reserve && !self.nics.reserve_iack(r, txn) {
-            self.scratch.stats.multicast_blocked_cycles += 1;
+            self.stats.multicast_blocked_cycles += 1;
             return;
         }
         let Some(cc) = self.nics.free_cons(r) else {
-            self.scratch.stats.multicast_blocked_cycles += 1;
+            self.stats.multicast_blocked_cycles += 1;
             return;
         };
         self.nics.reserve_cons(r, cc, wid, true);
-        let worms = self.worms;
-        worms.get_mut(wid).copies += 1;
+        let w = self.worms.get_mut(wid);
+        w.copies += 1;
+        w.dest_idx += 1;
         self.routers.set_pending_absorb(r, port, vc, cc);
-        worms.get_mut(wid).dest_idx += 1;
         self.routers.set_front_ready(r, port, vc, now + self.cfg.strip_delay);
     }
 
@@ -1197,17 +819,16 @@ impl<'a> TileView<'a> {
         txn: TxnId,
         len: u16,
     ) {
-        let worms = self.worms;
         match self.nics.gather_check(r, txn) {
             GatherCheck::Ready(count) => {
-                let w = worms.get_mut(wid);
+                let w = self.worms.get_mut(wid);
                 w.acks += count;
                 w.dest_idx += 1;
                 self.routers.set_front_ready(r, port, vc, now + self.cfg.iack_check_delay);
             }
             GatherCheck::NotReady => match self.cfg.iack_mode {
                 IackMode::Block => {
-                    self.scratch.stats.gather_blocked_cycles += 1;
+                    self.stats.gather_blocked_cycles += 1;
                 }
                 IackMode::VctDefer => {
                     if let Some(entry) = self.nics.park(r, txn, wid, len) {
@@ -1217,8 +838,8 @@ impl<'a> TileView<'a> {
                             vc,
                             VcMode::DrainPark { entry: entry as u8 },
                         );
-                        worms.get_mut(wid).state = WormState::Parked(NodeId(r as u16));
-                        self.scratch.stats.parks += 1;
+                        self.worms.get_mut(wid).state = WormState::Parked(NodeId(r as u16));
+                        self.stats.parks += 1;
                     } else if let Some(cc) = self.nics.free_cons(r) {
                         // No entry to park in: *bounce* — consume the worm
                         // at this node and re-inject it, so it never holds
@@ -1226,17 +847,18 @@ impl<'a> TileView<'a> {
                         // deadlock the reply network against the very
                         // gathers that would free the entries).
                         self.nics.reserve_cons(r, cc, wid, false);
-                        worms.get_mut(wid).copies += 1;
-                        worms.get_mut(wid).bounced = true;
+                        let w = self.worms.get_mut(wid);
+                        w.copies += 1;
+                        w.bounced = true;
                         self.routers.set_mode(
                             r,
                             port,
                             vc,
                             VcMode::Active { out_port: LOCAL8, out_vc: cc as u8, absorb: None },
                         );
-                        self.scratch.stats.bounces += 1;
+                        self.stats.bounces += 1;
                     } else {
-                        self.scratch.stats.gather_blocked_cycles += 1;
+                        self.stats.gather_blocked_cycles += 1;
                     }
                 }
             },
@@ -1287,17 +909,15 @@ impl<'a> TileView<'a> {
             VcMode::Active { out_port: out_port as u8, out_vc: out_vc as u8, absorb },
         );
         self.routers.set_alloc(r, out_port, out_vc, Some((port, vc)));
-        if let Some(rec) = self.trace.as_deref_mut() {
-            if rec.wants(TraceClass::Flit) {
-                rec.push(
-                    now,
-                    TraceKind::WormRoute {
-                        worm: wid.0 as u64,
-                        node: here.idx() as u32,
-                        port: out_port as u32,
-                    },
-                );
-            }
+        if self.trace.wants(TraceClass::Flit) {
+            self.trace.push(
+                now,
+                TraceKind::WormRoute {
+                    worm: wid.0 as u64,
+                    node: here.idx() as u32,
+                    port: out_port as u32,
+                },
+            );
         }
     }
 
@@ -1331,17 +951,10 @@ impl<'a> TileView<'a> {
             // Link outputs (E, W, N, S): one flit per port per cycle.
             for out_port in 0..4 {
                 let winner = self.pick_link_winner(now, r, out_port, vcs, &used_in_port);
-                if let Some((in_port, in_vc, out_vc, virt)) = winner {
+                if let Some((in_port, in_vc, out_vc)) = winner {
                     used_in_port[in_port] = true;
                     self.routers.set_rr(r, out_port, in_port * vcs + in_vc + 1);
-                    if virt {
-                        // The winner forwarded on a borrowed virtual
-                        // credit: record the bet for barrier validation.
-                        self.scratch
-                            .assumptions
-                            .push(SpecAssume { node: r as u32, vc: out_vc as u8 });
-                    }
-                    self.apply_forward(now, r, in_port, in_vc, out_port, out_vc, virt);
+                    self.apply_forward(now, r, in_port, in_vc, out_port, out_vc);
                 }
             }
 
@@ -1386,45 +999,23 @@ impl<'a> TileView<'a> {
     }
 
     /// Round-robin arbitration for a link output port: pick the eligible
-    /// allocated input VC at-or-after the RR pointer. The fourth element
-    /// of the returned move is the *virtual-credit* flag: the winner was
-    /// credit-starved and forwarded on a borrowed credit (see below).
-    ///
-    /// Speculation hook: a candidate that is eligible except for credit
-    /// starvation on a northbound first-row output of a non-first tile is
-    /// exactly the case where a same-cycle boundary credit (deferred to
-    /// the barrier by the tile above) could have changed the serial
-    /// outcome. Such a candidate competes with a borrowed *virtual
-    /// credit* — betting the credit arrives; the caller records the
-    /// borrow as a [`SpecAssume`] iff the candidate wins, and the barrier
-    /// validates the bet. Candidates skipped for any other reason
-    /// (input already used, flit not ready, absorb channel full) lose
-    /// identically under both schedules — those checks read state only
-    /// this tile writes — and need no record; and because arbitration
-    /// picks the minimum RR-distance key, a *losing* virtual candidate
-    /// never changes the winner and needs no record either.
+    /// allocated, credited input VC at-or-after the RR pointer, as
+    /// `(in_port, in_vc, out_vc)`.
     fn pick_link_winner(
-        &mut self,
+        &self,
         now: Cycle,
         r: usize,
         out_port: usize,
         vcs: usize,
         used_in_port: &[bool; NUM_PORTS],
-    ) -> Option<(usize, usize, usize, bool)> {
-        // (rr-distance key, (in_port, in_vc, out_vc, virtual-credit))
-        let mut best: Option<(usize, (usize, usize, usize, bool))> = None;
+    ) -> Option<(usize, usize, usize)> {
+        // (rr-distance key, (in_port, in_vc, out_vc))
+        let mut best: Option<(usize, (usize, usize, usize))> = None;
         let rr = self.routers.rr(r, out_port);
         let total = NUM_PORTS * vcs;
-        let spec_row = self.base > 0
-            && out_port == Direction::North.index()
-            && r < self.base + self.cfg.mesh.width();
         for out_vc in 0..vcs {
             let Some((in_port, in_vc)) = self.routers.alloc(r, out_port, out_vc) else { continue };
-            if used_in_port[in_port] {
-                continue;
-            }
-            let starved = self.routers.credit(r, out_port, out_vc) == 0;
-            if starved && !spec_row {
+            if used_in_port[in_port] || self.routers.credit(r, out_port, out_vc) == 0 {
                 continue;
             }
             if self.routers.front_ready(r, in_port, in_vc) > now {
@@ -1435,17 +1026,9 @@ impl<'a> TileView<'a> {
                     continue;
                 }
             }
-            // Borrow a virtual credit and compete normally — but only
-            // where the pre-dispatch chain scan stamped the slot as able
-            // to receive the same-cycle credit; an unstamped slot provably
-            // cannot (`vc_could_pop` false is exact), so the skip needs no
-            // validation.
-            if starved && self.borrow_marks.get(r * vcs + out_vc).copied() != Some(now) {
-                continue;
-            }
             let key = (in_port * vcs + in_vc + total - rr % total) % total;
             if best.is_none_or(|(bk, _)| key < bk) {
-                best = Some((key, (in_port, in_vc, out_vc, starved)));
+                best = Some((key, (in_port, in_vc, out_vc)));
             }
         }
         best.map(|(_, m)| m)
@@ -1460,7 +1043,6 @@ impl<'a> TileView<'a> {
         in_vc: usize,
         out_port: usize,
         out_vc: usize,
-        virtual_credit: bool,
     ) {
         let bf = self.routers.pop(r, in_port, in_vc);
         let flit = bf.flit;
@@ -1473,23 +1055,17 @@ impl<'a> TileView<'a> {
         // Absorb copy (forward-and-absorb).
         if let VcMode::Active { absorb: Some(cc), .. } = self.routers.mode(r, in_port, in_vc) {
             self.nics.cons_push(r, cc as usize, flit);
-            self.scratch.stats.flits_consumed += 1;
+            self.stats.flits_consumed += 1;
             self.activate_nic(r);
         }
 
         // Stats + credits.
-        self.scratch.stats.flit_hops += 1;
-        self.link_busy[(r - self.base) * 4 + out_port] += 1;
+        self.stats.flit_hops += 1;
+        self.stats.link_busy[r * 4 + out_port] += 1;
         if let Some(p) = self.probe.as_deref_mut() {
             p.record_forward(now, r * 4 + out_port, out_vc);
         }
-        // A virtual-credit forward spends the borrowed credit, not the
-        // (zero) counter; the barrier swallows the matching deferred
-        // credit on commit, so the books balance exactly as in serial
-        // (+1 arrival, -1 spend).
-        if !virtual_credit {
-            self.routers.take_credit(r, out_port, out_vc);
-        }
+        self.routers.take_credit(r, out_port, out_vc);
         self.return_credit(r, in_port, in_vc);
 
         // Head bookkeeping: the worm may enter its "turned" phase.
@@ -1504,29 +1080,17 @@ impl<'a> TileView<'a> {
             };
         }
 
-        // Deposit downstream; a boundary crossing defers to the barrier
-        // (exact: the flit's future `ready_at` makes it invisible this
-        // cycle either way). Hierarchy boundary links add their extra
-        // delay here, which only *raises* `ready_at` and therefore
-        // preserves the lookahead invariant.
+        // Deposit downstream. Hierarchy boundary links add their extra
+        // delay here, which only *raises* `ready_at`, so the flit stays
+        // invisible for the rest of this cycle.
         let nb =
             self.cfg.mesh.neighbor(node, dir).expect("route computation never leaves the mesh");
         let in_port_nb = Port::Dir(dir.opposite()).index();
         let ready = now
             + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 }
             + self.link_extra[r * 4 + out_port];
-        let nbi = nb.idx();
-        if self.in_tile(nbi) {
-            self.routers.deposit(nbi, in_port_nb, out_vc, BufFlit { flit, ready_at: ready });
-            self.activate_router(nbi);
-        } else {
-            self.scratch.deposits.push(XDeposit {
-                node: nbi,
-                port: in_port_nb,
-                vc: out_vc,
-                bf: BufFlit { flit, ready_at: ready },
-            });
-        }
+        self.routers.deposit(nb.idx(), in_port_nb, out_vc, BufFlit { flit, ready_at: ready });
+        self.activate_router(nb.idx());
 
         // Tail releases allocations.
         if flit.kind == FlitKind::Tail {
@@ -1539,7 +1103,7 @@ impl<'a> TileView<'a> {
         let bf = self.routers.pop(r, in_port, in_vc);
         self.nics.cons_push(r, cc, bf.flit);
         self.activate_nic(r);
-        self.scratch.stats.flits_consumed += 1;
+        self.stats.flits_consumed += 1;
         self.return_credit(r, in_port, in_vc);
         if bf.flit.kind == FlitKind::Tail {
             self.routers.set_mode(r, in_port, in_vc, VcMode::Normal);
@@ -1559,10 +1123,7 @@ impl<'a> TileView<'a> {
         }
     }
 
-    /// Return one credit to the upstream router for the vacated slot. A
-    /// boundary crossing defers to the barrier; barrier validation of the
-    /// virtual-credit bets keeps the difference unobservable (see the
-    /// module docs).
+    /// Return one credit to the upstream router for the vacated slot.
     fn return_credit(&mut self, r: usize, in_port: usize, in_vc: usize) {
         if in_port == LOCAL {
             return; // NIC injection checks buffer space directly.
@@ -1574,12 +1135,7 @@ impl<'a> TileView<'a> {
         let node = NodeId(r as u16);
         let up = self.cfg.mesh.neighbor(node, dir).expect("input port faces a neighbor");
         let up_out = Port::Dir(dir.opposite()).index();
-        let ui = up.idx();
-        if self.in_tile(ui) {
-            self.routers.add_credit(ui, up_out, in_vc);
-        } else {
-            self.scratch.credits.push(XCredit { node: ui, port: up_out, vc: in_vc });
-        }
+        self.routers.add_credit(up.idx(), up_out, in_vc);
     }
 
     // ------------------------------------------------------------------
@@ -1604,33 +1160,29 @@ impl<'a> TileView<'a> {
             if self.nics.post_iack_count(n, txn, acks).is_no_space() {
                 self.nics.push_pending(n, txn, acks);
             } else {
-                self.scratch.stats.deposits += 1;
+                self.stats.deposits += 1;
             }
         }
     }
 
     /// Drain one flit per consumption channel; complete worms at tails.
     ///
-    /// NIC-local effects (delivered queue, bounce requeue, ack deposits)
-    /// happen inline so this NIC's same-cycle resume/inject see them, as
-    /// in the serial schedule; the fields read for them (`spec`, `acks`,
-    /// `bounced`, `queued_at`) are stable all cycle for a fully-consumed
-    /// worm. Worm-table writes shared across tiles defer to [`WormEvent`]
-    /// replay at the barrier.
+    /// Effects land inline (delivered queue, bounce requeue, ack
+    /// deposits, copy completion) so this NIC's same-cycle resume/inject
+    /// see them.
     fn nic_drain(&mut self, now: Cycle, n: usize) {
-        let worms = self.worms;
         for cc in 0..self.cfg.cons_channels {
             let Some(flit) = self.nics.cons_pop(n, cc) else { continue };
             if flit.kind != FlitKind::Tail {
                 continue;
             }
             let wid = self.nics.cons_owner(n, cc).expect("draining channel has an owner");
-            if wid != flit.worm && self.scratch.violation.is_none() {
+            if wid != flit.worm && self.violation.is_none() {
                 // Promoted from a debug_assert: a tail draining under the
                 // wrong owner means the consumption-channel bookkeeping is
                 // corrupt. Record (always, release included) and carry on
                 // with the owner's completion so the dump shows both ids.
-                self.scratch.violation = Some(format!(
+                *self.violation = Some(format!(
                     "consumption channel {cc} at node {n} drained a tail of worm {} but is owned by worm {}",
                     flit.worm.0, wid.0
                 ));
@@ -1639,15 +1191,14 @@ impl<'a> TileView<'a> {
             self.nics.release_cons(n, cc);
             let node = NodeId(n as u16);
 
-            let (src, payload, txn, acks, deposit, kind, bounced, queued_at) = {
-                let w = worms.get(wid);
+            let (src, payload, txn, acks, deposit, bounced, queued_at) = {
+                let w = self.worms.get(wid);
                 (
                     w.spec.src,
                     w.spec.payload,
                     w.spec.txn,
                     w.acks,
                     w.spec.gather_deposit,
-                    w.spec.kind,
                     w.bounced,
                     w.queued_at,
                 )
@@ -1668,25 +1219,16 @@ impl<'a> TileView<'a> {
                         txn,
                     },
                 );
-                self.scratch.stats.deliveries += 1;
+                self.stats.deliveries += 1;
                 self.note_delivery(n);
-                // The copy count (and a possible retire) is shared with
-                // other tiles: replay at the barrier in serial order.
-                self.scratch.events.push(WormEvent {
-                    wid,
-                    node: n,
-                    is_final: false,
-                    kind,
-                    latency: 0.0,
-                });
+                self.complete_copy(now, wid, n, false, 0.0);
                 continue;
             }
 
             if bounced {
                 // Bounced gather fully drained: requeue it at this NIC;
-                // it retries its i-ack check from here. The worm is
-                // referenced nowhere else, so inline mutation is exact.
-                let w = worms.get_mut(wid);
+                // it retries its i-ack check from here.
+                let w = self.worms.get_mut(wid);
                 w.copies -= 1;
                 w.bounced = false;
                 w.turned = false;
@@ -1706,10 +1248,10 @@ impl<'a> TileView<'a> {
                 // into the parked entry without needing a free slot, so
                 // the queue always drains.
                 if self.nics.post_iack_count(n, txn, acks).is_no_space() {
-                    self.scratch.stats.deposit_retries += 1;
+                    self.stats.deposit_retries += 1;
                     self.nics.push_pending(n, txn, acks);
                 } else {
-                    self.scratch.stats.deposits += 1;
+                    self.stats.deposits += 1;
                 }
             } else {
                 self.nics.push_delivery(
@@ -1725,19 +1267,18 @@ impl<'a> TileView<'a> {
                         txn,
                     },
                 );
-                self.scratch.stats.deliveries += 1;
+                self.stats.deliveries += 1;
                 self.note_delivery(n);
             }
-            self.scratch.events.push(WormEvent { wid, node: n, is_final: true, kind, latency });
+            self.complete_copy(now, wid, n, true, latency);
         }
     }
 
     /// Re-inject parked gather worms whose ack arrived.
     fn nic_resume(&mut self, n: usize) {
-        let worms = self.worms;
         while let Some((wid, count)) = self.nics.pop_resume(n) {
             let vnet = {
-                let w = worms.get_mut(wid);
+                let w = self.worms.get_mut(wid);
                 w.acks += count;
                 w.dest_idx += 1;
                 w.turned = false;
@@ -1745,21 +1286,20 @@ impl<'a> TileView<'a> {
                 w.spec.vnet
             };
             self.nics.enqueue(n, vnet, wid);
-            self.scratch.stats.resumes += 1;
+            self.stats.resumes += 1;
         }
     }
 
     /// Stream injection-queue worms into the router's local input port.
     fn nic_inject(&mut self, now: Cycle, n: usize) {
         let vcs = self.cfg.vcs_total();
-        let worms = self.worms;
         for vc in 0..vcs {
             // Start a new stream if this VC is idle and a worm of its
             // virtual-network class is waiting.
             if self.nics.streaming(n, vc).is_none() {
                 let vnet = self.cfg.vnet_of(vc);
                 if let Some(wid) = self.nics.pop_inject(n, vnet) {
-                    let len = worms.get(wid).spec.len_flits;
+                    let len = self.worms.get(wid).spec.len_flits;
                     self.nics.set_streaming(
                         n,
                         vc,
@@ -1785,9 +1325,9 @@ impl<'a> TileView<'a> {
             let ready = now + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 };
             self.routers.deposit(n, LOCAL, vc, BufFlit { flit, ready_at: ready });
             self.activate_router(n);
-            self.scratch.stats.flits_injected += 1;
+            self.stats.flits_injected += 1;
             if flit.kind == FlitKind::Head {
-                let w = worms.get_mut(st.worm);
+                let w = self.worms.get_mut(st.worm);
                 if w.injected_at.is_none() {
                     w.injected_at = Some(now);
                 }
@@ -1795,6 +1335,50 @@ impl<'a> TileView<'a> {
             }
             st.next_seq += 1;
             self.nics.set_streaming(n, vc, if st.next_seq == st.len { None } else { Some(st) });
+        }
+    }
+}
+
+impl TickView<'_> {
+    /// One consumption copy of `wid` drained its tail at `node`: drop the
+    /// copy, complete the worm on its final consumption, and free its
+    /// slot once it is delivered with no copies outstanding (a no-op
+    /// while recycling is off).
+    fn complete_copy(
+        &mut self,
+        now: Cycle,
+        wid: WormId,
+        node: usize,
+        is_final: bool,
+        latency: f64,
+    ) {
+        if self.trace.wants(TraceClass::Flit) {
+            let txn = self.worms.get(wid).spec.txn.0;
+            self.trace.push(
+                now,
+                TraceKind::WormDeliver {
+                    worm: wid.0 as u64,
+                    txn,
+                    node: node as u32,
+                    is_final,
+                    latency: latency as u64,
+                },
+            );
+        }
+        let w = self.worms.get_mut(wid);
+        w.copies -= 1;
+        if is_final {
+            w.state = WormState::Delivered;
+            w.delivered_at = Some(now);
+            *self.live_worms -= 1;
+            match w.spec.kind {
+                WormKind::Unicast => self.stats.unicast_latency.record(latency),
+                WormKind::Multicast => self.stats.multicast_latency.record(latency),
+                WormKind::Gather => self.stats.gather_latency.record(latency),
+            }
+        }
+        if w.state == WormState::Delivered && w.copies == 0 {
+            self.worms.retire(wid);
         }
     }
 }
@@ -1824,8 +1408,7 @@ fn build_link_extra(cfg: &MeshConfig) -> Vec<Cycle> {
 /// whenever it has phase-3 work (queued injections, streaming, consumption
 /// FIFO contents, resumes, or deposit retries). Nodes off both lists are
 /// provably no-ops in every phase, so skipping them is bit-identical to
-/// the full sweep. With [`MeshConfig::tiles`] > 1 the worklists are
-/// partitioned into row bands stepped concurrently (see the module docs).
+/// the full sweep.
 #[derive(Debug)]
 pub struct Network {
     cfg: MeshConfig,
@@ -1858,40 +1441,25 @@ pub struct Network {
     /// by [`Network::take_delivery_nodes`]).
     delivered_nodes: Vec<usize>,
     /// Precomputed next-hop tables, indexed by `VNet::index()`, built once
-    /// per network so the parallel section never recomputes routes.
+    /// per network so the tick never recomputes routes.
     tables: [RouteTable; NUM_VNETS],
-    /// Row-band node ranges, one per tile.
-    tile_bounds: Vec<core::ops::Range<usize>>,
-    /// Per-tile deferred-work buffers (persistent across cycles).
-    tile_scratch: Vec<TileScratch>,
-    /// Parked worker threads (`tiles - 1` of them) when `tiles > 1`.
-    pool: Option<WorkerPool>,
+    /// Worklist buffers of the tick pass (persistent across cycles).
+    scratch: TickScratch,
     /// Flight recorder: one time-ordered stream for the whole system (the
     /// protocol layer pushes its transaction events here too).
     trace: FlightRecorder,
     /// Optional per-link/VC contention probe (None unless enabled via
-    /// [`Network::enable_contention_probe`]). Enabling forces the serial
-    /// tick schedule, like flit tracing; results stay bit-identical.
+    /// [`Network::enable_contention_probe`]). A pure observer: results
+    /// stay bit-identical.
     probe: Option<Box<ContentionProbe>>,
     /// Optional windowed link-load summary (None unless enabled via
     /// [`Network::enable_link_load`]). Fed from `NetStats::link_busy`
-    /// deltas at window boundaries, so it does *not* force the serial
-    /// tick schedule. Plan-affecting state: snapshotted (see
+    /// deltas at window boundaries. Plan-affecting state: snapshotted (see
     /// [`LinkLoadMeter`]).
     link_load: Option<Box<LinkLoadMeter>>,
     /// First mesh-level invariant violation (sticky). The protocol layer
     /// polls this each step and converts it into a structured error.
     violation: Option<String>,
-    /// Pre-dispatch checkpoint for the multi-tile schedule (pooled
-    /// buffers).
-    spec_ck: SpecCheckpoint,
-    /// Per-`(node, vc)` borrow-eligibility stamps written by
-    /// [`Network::spec_borrow_scan`]: slot `n * vcs + vc` equals the
-    /// current cycle when a starved northbound first-row candidate may
-    /// forward on a virtual credit. Same-cycle scratch — never
-    /// snapshotted (stale stamps can only change *which bet* a future
-    /// cycle makes, and both bet outcomes are exact).
-    borrow_marks: Vec<Cycle>,
 }
 
 impl Network {
@@ -1912,8 +1480,7 @@ impl Network {
             RouteTable::build(cfg.rule_for(VNet::Req), &cfg.mesh),
             RouteTable::build(cfg.rule_for(VNet::Reply), &cfg.mesh),
         ];
-        let tiles = cfg.tiles;
-        let mut net = Self {
+        Self {
             cfg,
             routers,
             nics,
@@ -1931,53 +1498,12 @@ impl Network {
             delivered_flag: vec![false; nodes],
             delivered_nodes: Vec::new(),
             tables,
-            tile_bounds: Vec::new(),
-            tile_scratch: Vec::new(),
-            pool: None,
+            scratch: TickScratch::default(),
             trace: FlightRecorder::default(),
             probe: None,
             link_load: None,
             violation: None,
-            spec_ck: SpecCheckpoint::default(),
-            borrow_marks: Vec::new(),
-        };
-        net.set_tiles(tiles);
-        net
-    }
-
-    /// Repartition the mesh into `tiles` row-band tiles (clamped to the
-    /// mesh height) and size the worker pool accordingly. Results are
-    /// bit-identical for every value; `1` is the serial schedule.
-    pub fn set_tiles(&mut self, tiles: usize) {
-        let bounds = self.cfg.mesh.row_bands(tiles.max(1));
-        let t = bounds.len();
-        self.cfg.tiles = t;
-        self.tile_bounds = bounds;
-        self.tile_scratch = (0..t).map(|_| TileScratch::default()).collect();
-        self.stats.spec_rollback_by_tile.resize(t, 0);
-        // Size the pool by the host, not the tile count: `T` tiles need at
-        // most `T - 1` workers (the caller is a lane), and workers beyond
-        // the effective core budget only add contention — on a single-core
-        // host the pool gets zero workers and `WorkerPool::run`
-        // degenerates to a serial loop over the tile jobs, still
-        // exercising the full partitioned schedule (tile slices, deferred
-        // exchange, barrier replay) with bit-identical results.
-        // `WorkerPool::new_sized` reads `available_parallelism` and the
-        // `WORMDSM_POOL_WORKERS` override.
-        self.pool = (t > 1).then(|| WorkerPool::new_sized(t - 1));
-    }
-
-    /// Worker threads actually backing the tile pool (0 when `tiles = 1`
-    /// or on a single-core host; the calling thread is always a lane on
-    /// top of this). May be fewer than `tiles - 1` requested by
-    /// [`Network::set_tiles`] — see `WorkerPool::sized_workers`.
-    pub fn effective_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.threads())
-    }
-
-    /// Current tile count of the partitioned tick engine (1 = serial).
-    pub fn tiles(&self) -> usize {
-        self.cfg.tiles
+        }
     }
 
     /// Enable worm-table slot recycling: retired worms (delivered, all
@@ -1989,13 +1515,6 @@ impl Network {
     /// only reads [`Delivery`] snapshots, so it opts in.
     pub fn set_worm_recycling(&mut self, on: bool) {
         self.worms.set_recycle(on);
-    }
-
-    fn activate_router(&mut self, r: usize) {
-        if !self.router_active[r] {
-            self.router_active[r] = true;
-            self.active_routers.push(r);
-        }
     }
 
     fn activate_nic(&mut self, n: usize) {
@@ -2040,19 +1559,13 @@ impl Network {
     }
 
     /// Set the runtime trace level.
-    ///
-    /// [`TraceLevel::Flit`] additionally forces the single-tile (serial)
-    /// tick schedule so per-hop route events are never lost to a parallel
-    /// pass; the two schedules are bit-identical, so this changes wall
-    /// time only, never results.
     pub fn set_trace_level(&mut self, level: TraceLevel) {
         self.trace.set_level(level);
     }
 
     /// Enable per-link/VC contention accounting in `window`-cycle
-    /// buckets (replaces any previous probe). Forces the single-tile
-    /// tick schedule while enabled; a pure observer, so results are
-    /// bit-identical with the probe on or off.
+    /// buckets (replaces any previous probe). A pure observer, so results
+    /// are bit-identical with the probe on or off.
     pub fn enable_contention_probe(&mut self, window: Cycle) {
         self.probe = Some(Box::new(ContentionProbe::new(
             self.cfg.mesh.nodes(),
@@ -2086,9 +1599,8 @@ impl Network {
     }
 
     /// Enable the windowed link-load summary with `window`-cycle commits
-    /// (replaces any previous meter). Unlike the contention probe this
-    /// does not force the serial tick schedule — see [`LinkLoadMeter`]
-    /// for the determinism argument.
+    /// (replaces any previous meter). See [`LinkLoadMeter`] for the
+    /// determinism argument.
     pub fn enable_link_load(&mut self, window: Cycle) {
         self.link_load = Some(Box::new(LinkLoadMeter::new(self.cfg.mesh.nodes(), window)));
     }
@@ -2233,331 +1745,13 @@ impl Network {
         self.nics.delivered_mut(node.idx()).pop_front()
     }
 
-    /// Pre-dispatch borrow-eligibility scan for the multi-tile schedule.
-    /// For every starved, ready northbound first-row candidate, follow
-    /// the downstream blocking chain ([`Network::vc_could_pop`]) and
-    /// stamp the slot with `now` when the same-cycle boundary credit is
-    /// *possible*. `pick_link_winner` borrows a virtual credit only on
-    /// stamped slots: `vc_could_pop == false` is exact, so an unstamped
-    /// starved candidate provably cannot forward under the serial
-    /// schedule and is skipped silently — no assumption, no validation,
-    /// no rollback risk. Betting only where the credit is genuinely
-    /// possible is what keeps the mis-speculation (rollback) rate at the
-    /// few-percent level under sustained congestion.
-    fn spec_borrow_scan(&mut self, now: Cycle) {
-        let vcs = self.cfg.vcs_total();
-        let width = self.cfg.mesh.width();
-        let north = Direction::North.index();
-        let south = Direction::South.index();
-        let mut marks = std::mem::take(&mut self.borrow_marks);
-        if marks.len() != self.cfg.mesh.nodes() * vcs {
-            marks = vec![0; self.cfg.mesh.nodes() * vcs];
-        }
-        for b in &self.tile_bounds[1..] {
-            for u in b.start..b.start + width {
-                if self.routers.flits(u) == 0 {
-                    continue;
-                }
-                for vc in 0..vcs {
-                    let Some((ip, iv)) = self.routers.alloc(u, north, vc) else { continue };
-                    if self.routers.credit(u, north, vc) != 0 {
-                        continue;
-                    }
-                    if self.routers.front_ready(u, ip, iv) <= now
-                        && self.vc_could_pop(now, u - width, south, vc)
-                    {
-                        marks[u * vcs + vc] = now;
-                    }
-                }
-            }
-        }
-        self.borrow_marks = marks;
-    }
-
-    /// Could router `r` pop the front flit of input `(in_port, in_vc)`
-    /// this cycle under the serial ascending sweep (thereby returning a
-    /// credit upstream)? Conservative one-sided answer: `true` may still
-    /// lose arbitration, `false` is exact.
-    ///
-    /// A starved *active* VC chains: its pop needs a same-cycle credit
-    /// from its own downstream, which the ascending sweep only makes
-    /// visible when that downstream has a lower index — i.e. the output
-    /// points north (`r - width`) or west (`r - 1`). Following the chain
-    /// strictly decreases the router index, so the walk terminates; any
-    /// east/south-facing starved link breaks it (those credits come from
-    /// higher-index routers and are never same-cycle visible serially).
-    fn vc_could_pop(&self, now: Cycle, mut r: usize, mut in_port: usize, mut in_vc: usize) -> bool {
-        let width = self.cfg.mesh.width();
-        let north = Direction::North.index();
-        let west = Direction::West.index();
-        loop {
-            if self.routers.front_ready(r, in_port, in_vc) > now {
-                return false;
-            }
-            match self.routers.mode(r, in_port, in_vc) {
-                // Park drains bypass the crossbar: a ready front always pops.
-                VcMode::DrainPark { .. } => return true,
-                VcMode::Active { out_port, out_vc, absorb } => {
-                    let (out_port, out_vc) = (out_port as usize, out_vc as usize);
-                    if out_port == LOCAL {
-                        // Consumption space only shrinks during movement
-                        // (draining is phase 3), so "full now" is exact.
-                        return self.nics.cons_has_space(r, out_vc);
-                    }
-                    if let Some(cc) = absorb {
-                        if !self.nics.cons_has_space(r, cc as usize) {
-                            return false;
-                        }
-                    }
-                    if self.routers.credit(r, out_port, out_vc) > 0 {
-                        return true;
-                    }
-                    if out_port == north {
-                        r -= width;
-                        in_port = Direction::South.index();
-                    } else if out_port == west {
-                        r -= 1;
-                        in_port = Direction::East.index();
-                    } else {
-                        return false;
-                    }
-                    in_vc = out_vc;
-                }
-                VcMode::Normal => {
-                    let front =
-                        self.routers.front(r, in_port, in_vc).expect("ready implies present");
-                    return self.head_could_pop(r, front.flit.worm);
-                }
-            }
-        }
-    }
-
-    /// Could phase-1 head processing put this router's front head into a
-    /// state that phase 2 pops the same cycle? Mirrors `process_head`
-    /// read-only. Exactness leans on phase ordering: all head processing
-    /// runs before any movement, so phase 1 sees precisely the pre-tick
-    /// credit/allocation state this scan reads.
-    fn head_could_pop(&self, r: usize, wid: WormId) -> bool {
-        let w = self.worms.get(wid);
-        let here = NodeId(r as u16);
-        let next = w.next_dest();
-        if next != here {
-            // Forwarding head: allocation needs a legal direction with a
-            // free, credited output VC; once allocated, phase 2 can move it.
-            let mask = self.tables[w.spec.vnet.index()].mask(here, next, w.turned);
-            let (lo, hi) = self.cfg.vc_class(w.spec.vnet);
-            return Direction::ALL.iter().any(|d| {
-                mask & (1 << d.index()) != 0
-                    && self.routers.best_free_out_vc(r, d.index(), lo, hi).is_some()
-            });
-        }
-        if w.at_last_dest_idx() {
-            // Final consumption: a freshly reserved channel has space.
-            return self.nics.free_cons(r).is_some();
-        }
-        if !w.delivers_here() {
-            // Waypoint strip re-arms the head at `now + strip_delay`
-            // (>= 1, asserted in the constructor): no pop this cycle.
-            return false;
-        }
-        match w.spec.kind {
-            WormKind::Unicast => true, // single-destination; unreachable here
-            // Absorb strip also re-arms at `now + strip_delay`; the
-            // failure paths (no i-ack entry / no channel) stall in place.
-            WormKind::Multicast => false,
-            WormKind::Gather => match self.cfg.iack_mode {
-                // Ready bumps `ready_at` by `iack_check_delay` (>= 1);
-                // NotReady stalls in place.
-                IackMode::Block => false,
-                // Parking or bouncing can start draining the same cycle.
-                IackMode::VctDefer => true,
-            },
-        }
-    }
-
-    /// Checkpoint every node this cycle's tile pass could write: the
-    /// router and NIC worklists plus the in-mesh 4-neighbors of the
-    /// router worklist (forwarded flits deposit one hop downstream and
-    /// credits return one hop upstream; phase 3 stays on-node). Worm
-    /// runtime state is captured for the whole table — a pass never
-    /// inserts or retires, so specs and slot count need no copy.
-    fn spec_capture(&mut self, router_work: &[usize], nic_work: &[usize]) {
-        let mut ck = std::mem::take(&mut self.spec_ck);
-        ck.begin(self.cfg.mesh.nodes());
-        for &r in router_work {
-            ck.add(r);
-            let node = NodeId(r as u16);
-            for d in Direction::ALL {
-                if let Some(nb) = self.cfg.mesh.neighbor(node, d) {
-                    ck.add(nb.idx());
-                }
-            }
-        }
-        for &n in nic_work {
-            ck.add(n);
-        }
-        ck.capture(
-            &self.routers,
-            &self.nics,
-            &self.router_active,
-            &self.nic_active,
-            &self.delivered_flag,
-            &self.stats.link_busy,
-            &self.worms,
-        );
-        self.spec_ck = ck;
-    }
-
-    /// Barrier-time speculation validation. For each tile, an FNV-64
-    /// digest of the boundary credits the pass *assumed* is compared
-    /// against a digest of the deferred credits that *actually* landed on
-    /// the assumed slots. Deposits need no digesting: the lookahead
-    /// invariant makes a deposited flit invisible in the cycle it is
-    /// made, assumed and actual alike. Returns true when any tile's
-    /// digests differ, and charges [`NetStats::spec_rollback_by_tile`].
-    ///
-    /// Each assumption is a virtual credit a winning forward already
-    /// spent, so the assumed digest covers the recorded `(node, vc)`
-    /// borrows and the actual digest covers the distinct matching
-    /// deferred north credits. When *every* tile matches, the matched
-    /// credits are swallowed before the barrier applies the rest —
-    /// returning a spent credit would mint one. (At most one north winner
-    /// per node per cycle and at most one credit per `(node, vc)` per
-    /// cycle, so matching is 1:1.)
-    fn spec_validate(&mut self) -> bool {
-        let total: usize = self.tile_scratch.iter().map(|s| s.assumptions.len()).sum();
-        if total == 0 {
-            return false; // nothing was assumed; the cycle is trivially exact
-        }
-        let north = Direction::North.index();
-        let mut any = false;
-        // (scratch index, credit index) of credits consumed by a
-        // virtual forward, pending swallow on commit.
-        let mut matched: Vec<(usize, usize)> = Vec::new();
-        for t in 0..self.tile_scratch.len() {
-            let n_assume = self.tile_scratch[t].assumptions.len();
-            if n_assume == 0 {
-                continue;
-            }
-            let mut assumed = Fnv64::new();
-            let mut actual = Fnv64::new();
-            let before = matched.len();
-            for i in 0..n_assume {
-                let a = self.tile_scratch[t].assumptions[i];
-                assumed.write_u64(a.node as u64);
-                assumed.write_u32(a.vc as u32);
-                'search: for (si, s) in self.tile_scratch.iter().enumerate() {
-                    for (ci, c) in s.credits.iter().enumerate() {
-                        if c.port == north
-                            && c.node == a.node as usize
-                            && c.vc == a.vc as usize
-                            && !matched.contains(&(si, ci))
-                        {
-                            actual.write_u64(c.node as u64);
-                            actual.write_u32(c.vc as u32);
-                            matched.push((si, ci));
-                            break 'search;
-                        }
-                    }
-                }
-            }
-            let mismatch = assumed.finish() != actual.finish();
-            debug_assert_eq!(
-                mismatch,
-                matched.len() - before < n_assume,
-                "validation digest must track unmatched borrows"
-            );
-            if mismatch {
-                any = true;
-                self.stats.spec_rollback_by_tile[t] += 1;
-            }
-        }
-        if !any {
-            // Commit: swallow each borrowed credit. Descending index
-            // per scratch keeps `swap_remove` targets valid (every
-            // matched index above the current one is already gone);
-            // credit application is commutative, so order of the
-            // survivors is irrelevant.
-            matched.sort_unstable_by(|a, b| b.cmp(a));
-            for (si, ci) in matched {
-                self.tile_scratch[si].credits.swap_remove(ci);
-            }
-        }
-        any
-    }
-
-    /// Undo a mis-speculated cycle and replay it on the single-tile
-    /// serial schedule. Exact by construction: the checkpoint restores
-    /// every node a tile could have written, `reset_for_rollback` drops
-    /// all deferred work and per-tile deltas, and the replay *is* the
-    /// reference schedule — the barrier merge then applies its results
-    /// as on any serial cycle.
-    fn spec_rollback(&mut self, now: Cycle, router_work: &[usize], nic_work: &[usize]) {
-        self.stats.spec_rollbacks += 1;
-        self.stats.spec_replayed_cycles += 1;
-        for s in &mut self.tile_scratch {
-            s.reset_for_rollback();
-        }
-        let ck = std::mem::take(&mut self.spec_ck);
-        ck.restore(
-            &mut self.routers,
-            &mut self.nics,
-            &mut self.router_active,
-            &mut self.nic_active,
-            &mut self.delivered_flag,
-            &mut self.stats.link_busy,
-            &mut self.worms,
-        );
-        self.spec_ck = ck;
-
-        let Network {
-            cfg,
-            routers,
-            nics,
-            worms,
-            stats,
-            link_extra,
-            router_active,
-            nic_active,
-            delivered_flag,
-            tables,
-            tile_scratch,
-            trace,
-            probe,
-            ..
-        } = self;
-        let shared = SharedWorms::new(worms);
-        let mut view = TileView {
-            base: 0,
-            end: cfg.mesh.nodes(),
-            routers: routers.view_mut(),
-            nics: nics.view_mut(),
-            router_active,
-            nic_active,
-            delivered_flag,
-            link_busy: &mut stats.link_busy,
-            link_extra: link_extra.as_slice(),
-            worms: shared,
-            cfg,
-            tables,
-            scratch: &mut tile_scratch[0],
-            trace: Some(trace),
-            probe: probe.as_deref_mut(),
-            // `base == 0` disables speculation, so the replay is the
-            // exact serial reference schedule.
-            borrow_marks: &[],
-        };
-        view.run_pass(now, router_work, nic_work);
-    }
-
     /// Advance one cycle.
     pub fn tick(&mut self) {
         self.now += 1;
         let now = self.now;
         // Commit completed link-load windows before any of this cycle's
         // traffic is stepped: the meter's committed summaries then depend
-        // only on cycles `< now`, whose `link_busy` totals are
-        // bit-identical across tile counts.
+        // only on cycles `< now`.
         if let Some(m) = self.link_load.as_mut() {
             m.observe(now, &self.stats.link_busy);
         }
@@ -2579,136 +1773,47 @@ impl Network {
         let nic_cap = self.active_nics.capacity();
         nic_work.sort_unstable();
 
-        // Dispatch to the pool only when the cycle carries enough work to
-        // amortize the fan-out/barrier round trip; light cycles run the
-        // serial schedule inline. Both schedules produce identical state,
-        // so the threshold choice (a pure function of pre-tick state)
-        // affects wall time only, never results.
-        let configured = self.tile_bounds.len();
-        let enough_work = router_work.len() + nic_work.len() >= PARALLEL_WORK_PER_TILE * configured;
-        // Flit-level tracing and the contention probe force the
-        // single-tile schedule: per-hop events are recorded inside the
-        // tile pass, and only the serial view carries the recorder and
-        // probe. Bit-identical either way.
-        let trace_serial = self.trace.wants(TraceClass::Flit) || self.probe.is_some();
-        let parallel = configured > 1 && enough_work && !trace_serial;
-        // Stamp the slots where a virtual-credit borrow is worth betting
-        // on, then checkpoint everything this cycle's tile pass could
-        // write, so a validation mismatch can roll the cycle back.
-        if parallel {
-            self.spec_borrow_scan(now);
-            self.spec_capture(&router_work, &nic_work);
-        }
-        let whole = [0..self.cfg.mesh.nodes(); 1];
+        let Network {
+            cfg,
+            routers,
+            nics,
+            worms,
+            stats,
+            link_extra,
+            live_worms,
+            router_active,
+            nic_active,
+            delivered_flag,
+            delivered_nodes,
+            tables,
+            scratch,
+            trace,
+            probe,
+            violation,
+            ..
+        } = self;
+        let mut view = TickView {
+            routers,
+            nics,
+            worms,
+            stats,
+            live_worms,
+            router_active,
+            nic_active,
+            delivered_flag,
+            delivered_nodes,
+            link_extra,
+            cfg,
+            tables,
+            scratch,
+            violation,
+            trace,
+            probe: probe.as_deref_mut(),
+        };
+        view.run_pass(now, &router_work, &nic_work);
 
-        {
-            let Network {
-                cfg,
-                routers,
-                nics,
-                worms,
-                stats,
-                link_extra,
-                router_active,
-                nic_active,
-                delivered_flag,
-                tables,
-                tile_bounds,
-                tile_scratch,
-                pool,
-                trace,
-                probe,
-                borrow_marks,
-                ..
-            } = self;
-            let bounds: &[core::ops::Range<usize>] =
-                if parallel { &tile_bounds[..] } else { &whole[..] };
-            let shared = SharedWorms::new(worms);
-
-            if bounds.len() == 1 {
-                // Single-tile schedule (T = 1, thin cycles, forced
-                // serial): the whole mesh is one view — no slice
-                // carving, no job vector, no per-tick allocation.
-                let mut view = TileView {
-                    base: 0,
-                    end: cfg.mesh.nodes(),
-                    routers: routers.view_mut(),
-                    nics: nics.view_mut(),
-                    router_active,
-                    nic_active,
-                    delivered_flag,
-                    link_busy: &mut stats.link_busy,
-                    link_extra: link_extra.as_slice(),
-                    worms: shared,
-                    cfg,
-                    tables,
-                    scratch: &mut tile_scratch[0],
-                    trace: Some(trace),
-                    probe: probe.as_deref_mut(),
-                    borrow_marks: &[],
-                };
-                view.run_pass(now, &router_work, &nic_work);
-            } else {
-                self::run_tiles(
-                    now,
-                    bounds,
-                    cfg,
-                    tables,
-                    shared,
-                    routers.view_mut(),
-                    nics.view_mut(),
-                    router_active,
-                    nic_active,
-                    delivered_flag,
-                    &mut stats.link_busy,
-                    link_extra.as_slice(),
-                    tile_scratch,
-                    &router_work,
-                    &nic_work,
-                    pool.as_ref().expect("pool exists when tiles > 1"),
-                    borrow_marks.as_slice(),
-                );
-            }
-        }
-
-        // Speculation settlement: before any deferred work is applied,
-        // compare each tile's assumed and actual boundary-credit digests.
-        // A mismatch means the serial schedule might have moved a flit
-        // this cycle that the speculative pass did not (or vice versa):
-        // roll back and replay serially.
-        if parallel {
-            if self.spec_validate() {
-                self.spec_rollback(now, &router_work, &nic_work);
-            } else {
-                self.stats.spec_commits += 1;
-            }
-        }
-
-        // Cycle barrier: fold per-tile deltas and deferred cross-tile work
-        // back into the global state. Worm events replay in tile order ==
-        // ascending node order == the serial schedule.
-        let mut scratch = std::mem::take(&mut self.tile_scratch);
-        for s in scratch.iter_mut() {
-            s.assumptions.clear();
-            s.stats.merge_into(&mut self.stats);
-            if let Some(v) = s.violation.take() {
-                self.violation.get_or_insert(v);
-            }
-            for c in s.credits.drain(..) {
-                self.routers.add_credit(c.node, c.port, c.vc);
-            }
-            for d in s.deposits.drain(..) {
-                self.routers.deposit(d.node, d.port, d.vc, d.bf);
-                self.activate_router(d.node);
-            }
-            for ev in s.events.drain(..) {
-                self.apply_worm_event(now, ev);
-            }
-            self.delivered_nodes.append(&mut s.delivered);
-            self.active_routers.append(&mut s.new_routers);
-            self.active_nics.append(&mut s.new_nics);
-        }
-        self.tile_scratch = scratch;
+        self.active_routers.append(&mut self.scratch.new_routers);
+        self.active_nics.append(&mut self.scratch.new_nics);
 
         if self.active_routers.capacity() != router_cap {
             self.stats.scratch_grows += 1;
@@ -2721,124 +1826,7 @@ impl Network {
     }
 }
 
-/// Concurrent tile pass: carve the per-node slabs into per-tile exclusive
-/// windows, partition the sorted worklists by tile range, and fan the tile
-/// jobs out across the worker pool.
-#[allow(clippy::too_many_arguments)]
-fn run_tiles<'a>(
-    now: Cycle,
-    bounds: &[core::ops::Range<usize>],
-    cfg: &'a MeshConfig,
-    tables: &'a [RouteTable; NUM_VNETS],
-    shared: SharedWorms,
-    routers: RouterTile<'a>,
-    nics: NicTile<'a>,
-    mut ra_rest: &'a mut [bool],
-    mut na_rest: &'a mut [bool],
-    mut df_rest: &'a mut [bool],
-    mut lb_rest: &'a mut [u64],
-    link_extra: &'a [Cycle],
-    tile_scratch: &'a mut [TileScratch],
-    router_work: &'a [usize],
-    nic_work: &'a [usize],
-    pool: &WorkerPool,
-    borrow_marks: &'a [Cycle],
-) {
-    let mut routers_rest = routers;
-    let mut nics_rest = nics;
-    let mut scratch_iter = tile_scratch.iter_mut();
-    let mut rw_rest: &[usize] = router_work;
-    let mut nw_rest: &[usize] = nic_work;
-    let mut jobs: Vec<Mutex<TileJob>> = Vec::with_capacity(bounds.len());
-    for b in bounds {
-        let len = b.end - b.start;
-        let (r_s, r_r) = routers_rest.split_at(len);
-        routers_rest = r_r;
-        let (n_s, n_r) = nics_rest.split_at(len);
-        nics_rest = n_r;
-        let (ra_s, ra_r) = std::mem::take(&mut ra_rest).split_at_mut(len);
-        ra_rest = ra_r;
-        let (na_s, na_r) = std::mem::take(&mut na_rest).split_at_mut(len);
-        na_rest = na_r;
-        let (df_s, df_r) = std::mem::take(&mut df_rest).split_at_mut(len);
-        df_rest = df_r;
-        let (lb_s, lb_r) = std::mem::take(&mut lb_rest).split_at_mut(len * 4);
-        lb_rest = lb_r;
-        let rsplit = rw_rest.partition_point(|&r| r < b.end);
-        let (rw, rw_r) = rw_rest.split_at(rsplit);
-        rw_rest = rw_r;
-        let nsplit = nw_rest.partition_point(|&n| n < b.end);
-        let (nw, nw_r) = nw_rest.split_at(nsplit);
-        nw_rest = nw_r;
-        let view = TileView {
-            base: b.start,
-            end: b.end,
-            routers: r_s,
-            nics: n_s,
-            router_active: ra_s,
-            nic_active: na_s,
-            delivered_flag: df_s,
-            link_busy: lb_s,
-            link_extra,
-            worms: shared,
-            cfg,
-            tables,
-            scratch: scratch_iter.next().expect("scratch per tile"),
-            trace: None,
-            probe: None,
-            borrow_marks,
-        };
-        jobs.push(Mutex::new((view, rw, nw)));
-    }
-
-    let jobs_ref = &jobs;
-    pool.run(jobs_ref.len(), &|i| {
-        let mut guard = jobs_ref[i].lock().expect("unpoisoned");
-        let (view, rw, nw) = &mut *guard;
-        view.run_pass(now, rw, nw);
-    });
-}
-
 impl Network {
-    /// Replay one deferred worm completion in serial order.
-    fn apply_worm_event(&mut self, now: Cycle, ev: WormEvent) {
-        if self.trace.wants(TraceClass::Flit) {
-            let txn = self.worms.get(ev.wid).spec.txn.0;
-            self.trace.push(
-                now,
-                TraceKind::WormDeliver {
-                    worm: ev.wid.0 as u64,
-                    txn,
-                    node: ev.node as u32,
-                    is_final: ev.is_final,
-                    latency: ev.latency as u64,
-                },
-            );
-        }
-        let w = self.worms.get_mut(ev.wid);
-        w.copies -= 1;
-        if ev.is_final {
-            w.state = WormState::Delivered;
-            w.delivered_at = Some(now);
-            self.live_worms -= 1;
-            match ev.kind {
-                WormKind::Unicast => self.stats.unicast_latency.record(ev.latency),
-                WormKind::Multicast => self.stats.multicast_latency.record(ev.latency),
-                WormKind::Gather => self.stats.gather_latency.record(ev.latency),
-            }
-        }
-        self.maybe_retire(ev.wid);
-    }
-
-    /// Free a worm's table slot once it is delivered with no outstanding
-    /// consumption copies (no-op while recycling is off).
-    fn maybe_retire(&mut self, wid: WormId) {
-        let w = self.worms.get(wid);
-        if w.state == WormState::Delivered && w.copies == 0 {
-            self.worms.retire(wid);
-        }
-    }
-
     /// True when ticking would be a complete no-op: no worms live anywhere
     /// and no NIC has queued work (deposit retries included). Undrained
     /// `delivered` queues don't matter — `tick` never touches them.
@@ -2875,7 +1863,7 @@ impl Network {
     /// Serialize the network's full dynamic state: routers, NICs, worm
     /// table, clock, live-worm count, worklists, delivery flags,
     /// statistics and the sticky violation. Configuration, routing
-    /// tables, tiling and observers (flight recorder, contention probe)
+    /// tables and observers (flight recorder, contention probe)
     /// are *not* saved — the loader rebuilds them from its own
     /// [`MeshConfig`], which must match the saving side's
     /// (validated by the caller; `DsmSystem` gates on a config
@@ -2916,8 +1904,8 @@ impl Network {
 
     /// Rebuild a network from `cfg` and a [`Network::save_state`] stream,
     /// cross-validating the stream's geometry against the configuration.
-    /// The worm-recycling flag travels with the worm table; tiling and
-    /// trace/probe state are fresh (callers re-apply).
+    /// The worm-recycling flag travels with the worm table; trace/probe
+    /// state is fresh (callers re-apply).
     pub fn load_state(cfg: MeshConfig, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut net = Network::new(cfg);
         let nodes = net.cfg.mesh.nodes();
@@ -2934,6 +1922,16 @@ impl Network {
         let rs_cap = r.get_usize()?;
         let an_cap = r.get_usize()?;
         let ns_cap = r.get_usize()?;
+        // The membership flags deduplicate every worklist, so none ever
+        // holds more than `nodes` entries, and amortized growth at most
+        // doubles a capacity below that (minimum allocation 4). A larger
+        // claim is corrupt, and allocating it could abort the process.
+        let cap_limit = (2 * nodes).max(4);
+        if [ar_cap, rs_cap, an_cap, ns_cap].iter().any(|&c| c > cap_limit) {
+            return Err(SnapError::Corrupt(format!(
+                "worklist capacity above {cap_limit} for a {nodes}-node mesh"
+            )));
+        }
         net.active_routers.reserve_exact(ar_cap.saturating_sub(net.active_routers.len()));
         net.router_scratch = Vec::with_capacity(rs_cap);
         net.active_nics.reserve_exact(an_cap.saturating_sub(net.active_nics.len()));
@@ -2989,7 +1987,6 @@ impl Network {
                 net.worms.len()
             )));
         }
-        net.stats.spec_rollback_by_tile.resize(net.cfg.tiles, 0);
         Ok(net)
     }
 
@@ -3061,10 +2058,6 @@ impl Snap for NetStats {
         self.gather_latency.save(w);
         w.put_u64(self.worm_slots_reused);
         w.put_u64(self.scratch_grows);
-        w.put_u64(self.spec_commits);
-        w.put_u64(self.spec_rollbacks);
-        w.put_u64(self.spec_replayed_cycles);
-        self.spec_rollback_by_tile.save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -3087,10 +2080,6 @@ impl Snap for NetStats {
             gather_latency: Summary::load(r)?,
             worm_slots_reused: r.get_u64()?,
             scratch_grows: r.get_u64()?,
-            spec_commits: r.get_u64()?,
-            spec_rollbacks: r.get_u64()?,
-            spec_replayed_cycles: r.get_u64()?,
-            spec_rollback_by_tile: Vec::load(r)?,
         })
     }
 }

@@ -232,23 +232,6 @@ impl Mesh2D {
     pub fn iter_nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes() as u16).map(NodeId)
     }
-
-    /// Split the mesh into `tiles` contiguous row bands, returned as
-    /// node-index ranges (row-major layout makes each band one contiguous
-    /// slice of per-node state). Rows are distributed as evenly as
-    /// possible; `tiles` is clamped to the row count so every band is
-    /// non-empty, and the ranges always cover `0..nodes()` exactly.
-    pub fn row_bands(&self, tiles: usize) -> Vec<core::ops::Range<usize>> {
-        let h = self.height();
-        let t = tiles.clamp(1, h);
-        (0..t)
-            .map(|i| {
-                let r0 = i * h / t;
-                let r1 = (i + 1) * h / t;
-                r0 * self.width()..r1 * self.width()
-            })
-            .collect()
-    }
 }
 
 /// Two-level mesh-of-meshes overlay: the flat `width x height` mesh is
@@ -462,27 +445,5 @@ mod tests {
         for d in Direction::ALL {
             assert_eq!(Port::Dir(d).index(), d.index());
         }
-    }
-
-    #[test]
-    fn row_bands_cover_the_mesh_contiguously() {
-        let m = Mesh2D::new(4, 6);
-        for tiles in 1..=8 {
-            let bands = m.row_bands(tiles);
-            assert!(bands.len() <= 6, "bands clamp to row count");
-            assert_eq!(bands[0].start, 0);
-            assert_eq!(bands.last().unwrap().end, m.nodes());
-            for w in bands.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "bands must tile without gaps");
-                assert!(!w[0].is_empty());
-            }
-            for b in &bands {
-                assert_eq!(b.start % m.width(), 0, "bands start on row boundaries");
-                assert_eq!(b.end % m.width(), 0);
-            }
-        }
-        // Even split when tiles divides rows.
-        let bands = m.row_bands(3);
-        assert_eq!(bands, vec![0..8, 8..16, 16..24]);
     }
 }

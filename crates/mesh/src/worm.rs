@@ -300,14 +300,6 @@ impl WormTable {
         }
     }
 
-    /// Raw pointer and length of the worm storage, for the tile engine's
-    /// shared-worm wrapper. The pointer stays valid until the table grows
-    /// (insert) or drops; the tile engine never inserts mid-tick, so a
-    /// per-tick snapshot is safe.
-    pub(crate) fn raw(&mut self) -> (*mut Worm, usize) {
-        (self.worms.as_mut_ptr(), self.worms.len())
-    }
-
     /// Immutable access.
     pub fn get(&self, id: WormId) -> &Worm {
         &self.worms[id.0 as usize]
@@ -337,55 +329,6 @@ impl WormTable {
     pub fn undelivered(&self) -> usize {
         self.worms.iter().filter(|w| w.state != WormState::Delivered).count()
     }
-
-    /// Capture every worm's mutable runtime fields into `out` (cleared
-    /// first). Used by the speculative tick engine: a tile pass may mutate
-    /// any in-flight worm, but never inserts or retires (both happen at the
-    /// barrier), so slot count and specs need no capture.
-    pub(crate) fn capture_rt(&self, out: &mut Vec<WormRt>) {
-        out.clear();
-        out.reserve(self.worms.len());
-        out.extend(self.worms.iter().map(|w| WormRt {
-            dest_idx: w.dest_idx as u32,
-            acks: w.acks,
-            state: w.state,
-            injected_at: w.injected_at,
-            delivered_at: w.delivered_at,
-            turned: w.turned,
-            bounced: w.bounced,
-            copies: w.copies,
-        }));
-    }
-
-    /// Restore runtime fields captured by [`WormTable::capture_rt`]. The
-    /// table must hold exactly as many worms as at capture time.
-    pub(crate) fn restore_rt(&mut self, rt: &[WormRt]) {
-        debug_assert_eq!(rt.len(), self.worms.len(), "worm count changed under speculation");
-        for (w, s) in self.worms.iter_mut().zip(rt) {
-            w.dest_idx = s.dest_idx as usize;
-            w.acks = s.acks;
-            w.state = s.state;
-            w.injected_at = s.injected_at;
-            w.delivered_at = s.delivered_at;
-            w.turned = s.turned;
-            w.bounced = s.bounced;
-            w.copies = s.copies;
-        }
-    }
-}
-
-/// Snapshot of one worm's mutable runtime fields (everything a tile pass
-/// may write; `spec`, `id` and `queued_at` are fixed at insert).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WormRt {
-    dest_idx: u32,
-    acks: u32,
-    state: WormState,
-    injected_at: Option<Cycle>,
-    delivered_at: Option<Cycle>,
-    turned: bool,
-    bounced: bool,
-    copies: u32,
 }
 
 mod snap_impls {

@@ -257,83 +257,6 @@ fn k8_mixed_fingerprint(
     )
 }
 
-/// Acceptance: the k=8 batch produces bit-identical metrics for every
-/// tile count under the SoA slabs (serial, 2, 4, and 8 row-band tiles).
-#[test]
-fn k8_metrics_bit_identical_across_tile_counts() {
-    let baseline = k8_mixed_fingerprint(|_| {});
-    for tiles in [2, 4, 8] {
-        let tiled = k8_mixed_fingerprint(|cfg| cfg.tiles = tiles);
-        assert_eq!(baseline, tiled, "tiles = {tiles} diverged from serial");
-    }
-}
-
-/// Saturating northbound unicast storm with cross traffic: back-to-back
-/// worms climb the same two columns, so followers routinely stall on a
-/// credit the worm ahead frees in the same cycle — the exact event the
-/// optimistic engine bets on (virtual credit) at tile boundaries. The
-/// eastbound Req worms then *turn north* into those columns at rows just
-/// above the boundaries, so the downstream router's south input
-/// sometimes loses the north output to the west input, the freed credit
-/// never materializes, and the bet is off — forcing rollbacks. Returns
-/// the run's stat fingerprint plus the rollback/commit counters.
-#[allow(clippy::type_complexity)]
-fn north_storm_fingerprint(tiles: usize) -> ((u64, u64, u64, u64, usize), (u64, u64)) {
-    let k = 8;
-    let mesh = Mesh2D::square(k);
-    let mut cfg = MeshConfig::paper_defaults(k);
-    cfg.tiles = tiles;
-    let mut net = Network::new(cfg);
-    let mut rng = Rng::new(0x0E57_0022);
-    let mut expected = 0usize;
-    for i in 0..240u64 {
-        let x = 2 + rng.index(2); // two columns -> deep credit back-pressure
-        let src = mesh.node_at(x, rng.range(4, 7) as usize);
-        let dst = mesh.node_at(x, rng.index(4));
-        let vnet = if rng.chance(0.5) { VNet::Reply } else { VNet::Req };
-        net.inject(WormSpec::unicast(src, dst, vnet, rng.range(4, 12) as u16, i));
-        expected += 1;
-    }
-    for i in 0..160u64 {
-        let x = 2 + rng.index(2); // merge into a stream column...
-        let y = 1 + rng.index(6); // ...turning north at this row (XY)
-        let src = mesh.node_at(rng.index(2), y);
-        let dst = mesh.node_at(x, rng.index(y));
-        net.inject(WormSpec::unicast(src, dst, VNet::Req, rng.range(4, 12) as u16, 240 + i));
-        expected += 1;
-    }
-    net.run_until_quiescent(2_000_000).expect("storm quiesces");
-    assert!(net.violation().is_none(), "{:?}", net.violation());
-    let delivered: usize = (0..k * k).map(|n| net.take_deliveries(NodeId(n as u16)).len()).sum();
-    assert_eq!(delivered, expected);
-    let s = net.stats();
-    (
-        (net.now(), s.flit_hops, s.flits_injected, s.flits_consumed, delivered),
-        (s.spec_rollbacks, s.spec_commits),
-    )
-}
-
-/// Forced conflict: the northbound storm makes the optimistic engine
-/// mis-speculate (rollback counter strictly positive), and every rolled
-/// back cycle's serial replay still lands on the serial run bit for bit.
-#[test]
-fn optimistic_rollback_fires_and_still_matches_serial() {
-    let (serial, (serial_rb, _)) = north_storm_fingerprint(1);
-    assert_eq!(serial_rb, 0, "the serial schedule speculates nothing");
-    let (mut rollbacks, mut commits) = (0, 0);
-    // Light cycles dodge the pool-dispatch threshold and run serially, so
-    // not every tile count speculates; the storm must exercise both the
-    // commit and the rollback/replay paths across the sweep as a whole.
-    for tiles in [2, 4, 8] {
-        let (fp, (rb, cm)) = north_storm_fingerprint(tiles);
-        assert_eq!(fp, serial, "tiles = {tiles} diverged from serial after rollback");
-        rollbacks += rb;
-        commits += cm;
-    }
-    assert!(commits > 0, "storm never committed a speculative cycle");
-    assert!(rollbacks > 0, "storm never exercised the rollback/replay path");
-}
-
 /// A hierarchy with zero inter-chip delay is the flat mesh, bit for bit;
 /// a positive delay only slows worms down, never loses them.
 #[test]

@@ -7,11 +7,6 @@
 //! A [`Strided`] slab stores *one field for all nodes* contiguously —
 //! `data[row * stride + i]` is element `i` of row `row` — so a per-cycle
 //! scan over active nodes walks dense, same-typed memory.
-//!
-//! [`StridedView`] is the borrowed form: it can be carved into disjoint
-//! row ranges ([`StridedView::split_at_row`]) exactly like
-//! `slice::split_at_mut`, which is what the space-partitioned parallel
-//! tick needs to hand each tile an exclusive window of every slab.
 
 /// Owning strided slab: `rows x stride` elements of `T`, row-major.
 #[derive(Debug, Clone)]
@@ -73,12 +68,6 @@ impl<T> Strided<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    /// Borrow the whole slab as a splittable view.
-    #[inline]
-    pub fn view_mut(&mut self) -> StridedView<'_, T> {
-        StridedView { data: &mut self.data, stride: self.stride }
-    }
 }
 
 impl<T: crate::snap::Snap> crate::snap::Snap for Strided<T> {
@@ -96,61 +85,6 @@ impl<T: crate::snap::Snap> crate::snap::Snap for Strided<T> {
             )));
         }
         Ok(Self { data, stride })
-    }
-}
-
-/// Borrowed window of a [`Strided`] slab covering a contiguous row range.
-#[derive(Debug)]
-pub struct StridedView<'a, T> {
-    data: &'a mut [T],
-    stride: usize,
-}
-
-impl<'a, T> StridedView<'a, T> {
-    /// Rows in this view.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.data.len() / self.stride
-    }
-
-    /// Elements per row.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Split into `[..r)` and `[r..)` row windows (consumes the view, like
-    /// `split_at_mut`). Row indices in each half are relative to the half.
-    #[inline]
-    pub fn split_at_row(self, r: usize) -> (Self, Self) {
-        let (lo, hi) = self.data.split_at_mut(r * self.stride);
-        (Self { data: lo, stride: self.stride }, Self { data: hi, stride: self.stride })
-    }
-
-    /// Row `r` (view-relative) as a slice.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[T] {
-        &self.data[r * self.stride..(r + 1) * self.stride]
-    }
-
-    /// Row `r` (view-relative) as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        &mut self.data[r * self.stride..(r + 1) * self.stride]
-    }
-
-    /// Element `i` of row `r` (view-relative).
-    #[inline]
-    pub fn at(&self, r: usize, i: usize) -> &T {
-        debug_assert!(i < self.stride);
-        &self.data[r * self.stride + i]
-    }
-
-    /// Element `i` of row `r` (view-relative), mutable.
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, i: usize) -> &mut T {
-        debug_assert!(i < self.stride);
-        &mut self.data[r * self.stride + i]
     }
 }
 
@@ -179,36 +113,6 @@ mod tests {
         s.row_mut(1)[0] = 5;
         *s.at_mut(0, 2) = -1;
         assert_eq!(s.as_slice(), &[0, 0, -1, 5, 0, 0]);
-    }
-
-    #[test]
-    fn view_split_gives_disjoint_windows() {
-        let mut c = 0u32;
-        let mut s = Strided::new(4, 2, || {
-            c += 1;
-            c
-        });
-        let v = s.view_mut();
-        let (mut lo, mut hi) = v.split_at_row(1);
-        assert_eq!(lo.rows(), 1);
-        assert_eq!(hi.rows(), 3);
-        // Windows index relative to their own start.
-        assert_eq!(lo.row(0), &[1, 2]);
-        assert_eq!(hi.row(0), &[3, 4]);
-        lo.row_mut(0)[0] = 100;
-        *hi.at_mut(2, 1) = 200;
-        assert_eq!(s.as_slice(), &[100, 2, 3, 4, 5, 6, 7, 200]);
-    }
-
-    #[test]
-    fn empty_split_edges() {
-        let mut s = Strided::new(2, 2, || 0u8);
-        let (lo, hi) = s.view_mut().split_at_row(0);
-        assert_eq!(lo.rows(), 0);
-        assert_eq!(hi.rows(), 2);
-        let (lo, hi) = s.view_mut().split_at_row(2);
-        assert_eq!(lo.rows(), 2);
-        assert_eq!(hi.rows(), 0);
     }
 
     #[test]

@@ -21,26 +21,21 @@
 //! - **Fail closed.** Every read is bounds-checked; a truncated, corrupt,
 //!   or version-skewed stream yields a [`SnapError`], never a panic or a
 //!   silently wrong value.
-//!
-//! The same [`Fnv64`] hasher doubles as the speculative engine's
-//! boundary-interaction validator: each tile hashes the cross-tile credit
-//! traffic it *assumed* and the barrier compares it against a hash of
-//! what its neighbor tiles actually *did* (see `wormdsm-mesh`).
 
 /// Stream magic: `"WDSM"` in ASCII, little-endian.
 pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. Version 2 appended the
-/// network's optional link-load meter to `Network::save_state`; version 3
-/// dropped the removed engine modes' counters from the network statistics.
-pub const SNAP_VERSION: u32 = 3;
+/// network's optional link-load meter to `Network::save_state`; versions 3
+/// and 4 dropped the removed engine modes' counters from the network
+/// statistics.
+pub const SNAP_VERSION: u32 = 4;
 
 /// FNV-1a 64-bit incremental hasher.
 ///
-/// Used for snapshot payload integrity and for the speculative engine's
-/// boundary-interaction hashes. Not cryptographic — it guards against
-/// truncation, bit rot, and mismatched speculation assumptions, not
+/// Used for snapshot payload integrity and run fingerprints. Not
+/// cryptographic — it guards against truncation and bit rot, not
 /// adversaries.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);

@@ -9,11 +9,9 @@
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of structured
 //!   [`TraceEvent`]s (worm inject/route/deliver, transaction
 //!   open/ack/close, stall enter/exit, fast-forward jumps). Recording is
-//!   gated twice: at compile time by the `trace` cargo feature (default
-//!   on; [`TRACE_COMPILED`] is `false` and every hook folds to dead code
-//!   when disabled) and at run time by a [`TraceLevel`] (default
-//!   [`TraceLevel::Off`], one predictable branch per hook). The recorder
-//!   can reconstruct a per-transaction timeline and dump itself as JSON.
+//!   gated at run time by a [`TraceLevel`] (default [`TraceLevel::Off`],
+//!   one predictable branch per hook). The recorder can reconstruct a
+//!   per-transaction timeline and dump itself as JSON.
 //! * [`InvariantViolation`] — the structured error produced when a
 //!   promoted protocol invariant fails. It carries the violation message,
 //!   the recorder's most recent events, and the offending transaction's
@@ -30,10 +28,6 @@
 use crate::profile::TxnProfiler;
 use crate::Cycle;
 use std::fmt::{self, Write};
-
-/// `true` when the `trace` cargo feature is enabled. When `false`, every
-/// recording hook is statically dead and the optimizer removes it.
-pub const TRACE_COMPILED: bool = cfg!(feature = "trace");
 
 /// Runtime verbosity of the flight recorder.
 ///
@@ -417,16 +411,14 @@ impl FlightRecorder {
 
     /// True when events of `class` should be recorded right now.
     ///
-    /// This is the single hot-path gate: with the `trace` feature off it
-    /// is constant `false` (dead-codes the hook); with the feature on and
-    /// the level `Off` it is one predictable branch.
+    /// This is the single hot-path gate: at level `Off` it is one
+    /// predictable branch.
     #[inline(always)]
     pub fn wants(&self, class: TraceClass) -> bool {
-        TRACE_COMPILED
-            && match class {
-                TraceClass::Txn => self.level >= TraceLevel::Txn,
-                TraceClass::Flit => self.level >= TraceLevel::Flit,
-            }
+        match class {
+            TraceClass::Txn => self.level >= TraceLevel::Txn,
+            TraceClass::Flit => self.level >= TraceLevel::Flit,
+        }
     }
 
     /// Record an event. Callers should gate on [`FlightRecorder::wants`]
@@ -606,9 +598,8 @@ pub fn events_json<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> String {
     s
 }
 
-/// Record an event into a [`FlightRecorder`] iff tracing is compiled in
-/// and the runtime level wants this class. Expands to nothing observable
-/// when the `trace` feature is disabled.
+/// Record an event into a [`FlightRecorder`] iff the runtime level wants
+/// this class.
 ///
 /// ```
 /// use wormdsm_sim::trace::{FlightRecorder, TraceClass, TraceKind, TraceLevel};
@@ -623,11 +614,9 @@ pub fn events_json<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> String {
 #[macro_export]
 macro_rules! trace_event {
     ($rec:expr, $class:expr, $at:expr, $kind:expr) => {
-        if $crate::trace::TRACE_COMPILED {
-            let rec: &mut $crate::trace::FlightRecorder = $rec;
-            if rec.wants($class) {
-                rec.push($at, $kind);
-            }
+        let rec: &mut $crate::trace::FlightRecorder = $rec;
+        if rec.wants($class) {
+            rec.push($at, $kind);
         }
     };
 }

@@ -14,6 +14,7 @@
 //!   and barrier structure as the originals; see DESIGN.md for the
 //!   substitution rationale).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

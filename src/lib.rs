@@ -3,6 +3,8 @@
 //! Re-exports the whole workspace under one roof. See the README for a tour
 //! and `examples/` for runnable entry points.
 
+#![forbid(unsafe_code)]
+
 pub use wormdsm_analytic as analytic;
 pub use wormdsm_coherence as coherence;
 pub use wormdsm_core as core;
